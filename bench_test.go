@@ -163,25 +163,17 @@ func benchWorkload(b *testing.B, name string, v baseline.Variant) {
 // bench, not just a metric.
 
 func BenchmarkProtoAlloc(b *testing.B) {
-	central := proto.NewPool()
-	shard := proto.NewShardPool(central)
+	pool := proto.NewPool()
 	cycle := func() {
-		// Central-pool round trip: the serial machine's path.
-		req := central.GetReq()
+		req := pool.GetReq()
 		req.Line = 42
-		central.PutReq(req)
-		resp := central.GetResp()
+		pool.PutReq(req)
+		resp := pool.GetResp()
 		resp.Line = 42
-		central.PutResp(resp)
-		fwd := central.GetFwd()
+		pool.PutResp(resp)
+		fwd := pool.GetFwd()
 		fwd.Count = 3
-		central.PutFwd(fwd)
-		// Shard-pool round trip plus barrier rebalance: a sharded
-		// lane's per-cycle pattern.
-		sreq := shard.GetReq()
-		sreq.Write = true
-		shard.PutReq(sreq)
-		shard.Recycle()
+		pool.PutFwd(fwd)
 	}
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		b.Fatalf("warmed body pools allocated %v allocs/op, want 0", n)

@@ -40,7 +40,6 @@ import (
 
 	"taskstream/internal/core"
 	"taskstream/internal/experiments"
-	"taskstream/internal/obs"
 	"taskstream/internal/parallel"
 	"taskstream/internal/runplan"
 	"taskstream/internal/sim"
@@ -54,22 +53,13 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	server := flag.String("server", "", "resolve simulations through the delta-serve daemon at this URL")
-	shards := flag.Int("shards", 0,
-		"intra-simulation shard count for every run (byte-identical output); 0 reads TASKSTREAM_SHARDS; 1 forces serial")
 	policy := flag.String("policy", "",
 		"dispatch policy for every dynamic-dispatch run ("+strings.Join(core.PolicyNames(), ", ")+"); empty reads TASKSTREAM_POLICY")
 	hostprof := flag.Bool("hostprof", false,
-		"profile host wall-clock time inside the engines; per-phase and per-shard attribution to stderr (stdout unchanged)")
-	scaling := flag.Bool("scaling", false,
-		"run the E17 shard-scaling measurement (wall-clock; shards 1,2,4,8) instead of the experiment suite")
-	reps := flag.Int("reps", 3, "repetitions per shard point in -scaling mode (best-of)")
+		"meter engine runs: runs, executed vs fast-forwarded cycles and wall time to stderr, cycle counts as a -json ffstats entry (stdout unchanged)")
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "delta-bench: -j must be >= 1 (got %d)\n", *jobs)
-		os.Exit(1)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "delta-bench: -shards must be >= 0 (got %d)\n", *shards)
 		os.Exit(1)
 	}
 	if *policy != "" {
@@ -78,45 +68,17 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *shards > 0 {
-		// The experiment definitions build their own core.Options, so
-		// the shard count rides the environment default every machine
-		// constructor consults (core.resolveShards).
-		os.Setenv("TASKSTREAM_SHARDS", fmt.Sprint(*shards))
-	}
 	if *policy != "" {
-		// Same route as -shards: the run-time-dispatch baseline variants
-		// resolve their scheduler via core.AmbientPolicy, so the flag
-		// rides the environment. Unlike shards, the policy lands in every
-		// cache key (distinct policies never share entries). E16 pins its
-		// own policies explicitly and is unaffected.
+		// The run-time-dispatch baseline variants resolve their
+		// scheduler via core.AmbientPolicy, so the flag rides the
+		// environment. The policy lands in every cache key (distinct
+		// policies never share entries). E16 pins its own policies
+		// explicitly and is unaffected.
 		os.Setenv("TASKSTREAM_POLICY", *policy)
 	}
 	experiments.SetWorkers(*jobs)
 	if *hostprof {
 		sim.SetHostProf(true)
-	}
-
-	if *scaling {
-		// E17 rides its own mode: wall-clock tables must never mix into
-		// the byte-identical suite stdout (see internal/experiments/scaling.go).
-		r, err := experiments.RunShardScaling(nil, *reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "delta-bench: -scaling: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(r.Render())
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, []experiments.Result{r}); err != nil {
-				fmt.Fprintf(os.Stderr, "delta-bench: -json: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *hostprof {
-			snap := sim.HostProfSnapshot()
-			fmt.Fprint(os.Stderr, snap.Report())
-		}
-		return
 	}
 
 	var client *store.Client
@@ -189,7 +151,11 @@ func main() {
 		fmt.Print(r.Render())
 	}
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, results); err != nil {
+		out := results
+		if *hostprof {
+			out = append(out, ffstats(sim.HostProfSnapshot()))
+		}
+		if err := writeJSON(*jsonPath, out); err != nil {
 			fmt.Fprintf(os.Stderr, "delta-bench: -json: %v\n", err)
 			os.Exit(1)
 		}
@@ -202,11 +168,6 @@ func main() {
 			cacheState = "off"
 		}
 		fmt.Fprintf(os.Stderr, "[run cache %s: %s]\n", cacheState, runplan.Shared.Counters())
-	}
-	if !obs.Global.Empty() {
-		// Fast-forward cycle accounting (TASKSTREAM_FF_DEBUG), routed
-		// through the process-wide observability registry.
-		fmt.Fprintf(os.Stderr, "[ffstats: %s]\n", obs.Global.Line())
 	}
 	if *hostprof {
 		// Stderr only: the suite's stdout stays byte-identical with and
@@ -227,25 +188,24 @@ type jsonResult struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// writeJSON dumps every result's headline metrics to path. When the
-// process-wide observability registry collected anything (the
-// TASKSTREAM_FF_DEBUG fast-forward meters flow through it), it is
-// appended as a synthetic "ffstats" entry so the accounting rides the
-// same machine-readable surface as the experiments.
+// ffstats is the -hostprof entry of the -json dump: the run meter's
+// cycle counts, without wall time, so the file stays deterministic.
+func ffstats(p sim.HostProf) experiments.Result {
+	return experiments.Result{
+		ID: "ffstats", Title: "fast-forward cycle accounting",
+		Metrics: map[string]float64{
+			"ff_runs":            float64(p.Runs),
+			"ff_executed_cycles": float64(p.ExecutedCycles),
+			"ff_skipped_cycles":  float64(p.SkippedCycles),
+		},
+	}
+}
+
+// writeJSON dumps every result's headline metrics to path.
 func writeJSON(path string, results []experiments.Result) error {
 	out := make([]jsonResult, len(results))
 	for i, r := range results {
 		out[i] = jsonResult{ID: r.ID, Title: r.Title, Metrics: r.Metrics}
-	}
-	if !obs.Global.Empty() {
-		snap := obs.Global.Snapshot()
-		m := make(map[string]float64)
-		for _, n := range snap.Names() {
-			m[n] = float64(snap.Get(n))
-		}
-		out = append(out, jsonResult{
-			ID: "ffstats", Title: "fast-forward cycle accounting", Metrics: m,
-		})
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

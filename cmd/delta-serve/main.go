@@ -46,7 +46,6 @@ type options struct {
 	storeDir   string
 	storeMaxMB int64
 	jobs       int
-	shards     int
 	policy     string
 	logFormat  string
 	accessLog  bool
@@ -63,14 +62,12 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.storeDir, "store", "delta-store", "disk store directory; empty = memory-only")
 	fs.Int64Var(&o.storeMaxMB, "store-max-mb", 0, "disk store size bound in MiB (0 = unbounded)")
 	fs.IntVar(&o.jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	fs.IntVar(&o.shards, "shards", 0,
-		"intra-simulation shard count for served runs (byte-identical results); 0 reads TASKSTREAM_SHARDS; 1 forces serial")
 	fs.StringVar(&o.policy, "policy", "",
 		"default dispatch policy for wire specs that omit one ("+strings.Join(core.PolicyNames(), ", ")+"); empty = dynamic")
 	fs.StringVar(&o.logFormat, "log-format", "text", "access-log format: text or json")
 	fs.BoolVar(&o.accessLog, "access-log", true, "log one structured line per request to stderr")
 	fs.BoolVar(&o.hostprof, "hostprof", false,
-		"enable sim host profiling; exports sim_hostprof_* gauges at /metrics")
+		"meter served simulations; exports sim_hostprof_* gauges at /metrics")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -96,9 +93,6 @@ func (o options) validate() error {
 	if o.storeMaxMB < 0 {
 		return fmt.Errorf("-store-max-mb must be >= 0 (got %d)", o.storeMaxMB)
 	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (got %d)", o.shards)
-	}
 	if o.logFormat != "text" && o.logFormat != "json" {
 		return fmt.Errorf("-log-format must be text or json (got %q)", o.logFormat)
 	}
@@ -120,18 +114,6 @@ func newHTTPServer(handler http.Handler) *http.Server {
 	}
 }
 
-// apply installs the options' process-wide effects. Served simulations
-// build their machines from runplan Specs, so the shard count rides
-// the environment default every machine constructor consults
-// (core.resolveShards); results are byte-identical either way, and
-// Shards never enters a spec's cache key, so the store stays shared
-// between sharded and serial daemons.
-func (o options) apply() {
-	if o.shards > 0 {
-		os.Setenv("TASKSTREAM_SHARDS", fmt.Sprint(o.shards))
-	}
-}
-
 func main() {
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
@@ -145,7 +127,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "delta-serve: %v\n", err)
 		os.Exit(1)
 	}
-	o.apply()
 
 	// The daemon owns its runner rather than sharing the process-wide
 	// one: delta-serve is the only spec source in this process, and an

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,15 +9,14 @@ import (
 )
 
 // TestParseFlagsDefaults pins the daemon's documented defaults: port
-// 8177, ./delta-store persistence, one simulation per CPU, serial
-// execution (shards 0 defers to TASKSTREAM_SHARDS).
+// 8177, ./delta-store persistence, one simulation per CPU.
 func TestParseFlagsDefaults(t *testing.T) {
 	o, err := parseFlags(nil)
 	if err != nil {
 		t.Fatalf("parseFlags(nil): %v", err)
 	}
 	want := options{addr: ":8177", storeDir: "delta-store", storeMaxMB: 0,
-		jobs: runtime.GOMAXPROCS(0), shards: 0, logFormat: "text", accessLog: true}
+		jobs: runtime.GOMAXPROCS(0), logFormat: "text", accessLog: true}
 	if o != want {
 		t.Fatalf("parseFlags(nil) = %+v, want %+v", o, want)
 	}
@@ -31,14 +29,14 @@ func TestParseFlagsDefaults(t *testing.T) {
 func TestParseFlagsPlumbing(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-addr", ":9000", "-store", "/tmp/ds", "-store-max-mb", "512",
-		"-j", "3", "-shards", "8", "-policy", "streamgraph",
+		"-j", "3", "-policy", "streamgraph",
 		"-log-format", "json", "-access-log=false", "-hostprof",
 	})
 	if err != nil {
 		t.Fatalf("parseFlags: %v", err)
 	}
 	want := options{addr: ":9000", storeDir: "/tmp/ds", storeMaxMB: 512, jobs: 3,
-		shards: 8, policy: "streamgraph", logFormat: "json", accessLog: false,
+		policy: "streamgraph", logFormat: "json", accessLog: false,
 		hostprof: true}
 	if o != want {
 		t.Fatalf("parseFlags = %+v, want %+v", o, want)
@@ -60,12 +58,9 @@ func TestValidateFlags(t *testing.T) {
 		{"defaults pass", func(o *options) {}, ""},
 		{"memory-only passes", func(o *options) { o.storeDir = "" }, ""},
 		{"bounded store passes", func(o *options) { o.storeMaxMB = 512 }, ""},
-		{"sharded passes", func(o *options) { o.shards = 8 }, ""},
-		{"forced-serial passes", func(o *options) { o.shards = 1 }, ""},
 		{"zero jobs", func(o *options) { o.jobs = 0 }, "-j"},
 		{"negative jobs", func(o *options) { o.jobs = -2 }, "-j"},
 		{"negative store bound", func(o *options) { o.storeMaxMB = -1 }, "-store-max-mb"},
-		{"negative shards", func(o *options) { o.shards = -1 }, "-shards"},
 		{"json log format passes", func(o *options) { o.logFormat = "json" }, ""},
 		{"unknown log format", func(o *options) { o.logFormat = "xml" }, "-log-format"},
 	}
@@ -104,24 +99,6 @@ func TestValidatePolicy(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fifo") {
 		t.Fatalf("validatePolicy error %q does not name the bad policy", err)
-	}
-}
-
-// TestApplyShardsPlumbing pins how -shards reaches served simulations:
-// through the TASKSTREAM_SHARDS environment default the machine
-// constructor consults. Zero must leave the environment alone so an
-// inherited setting still applies.
-func TestApplyShardsPlumbing(t *testing.T) {
-	t.Setenv("TASKSTREAM_SHARDS", "")
-	options{shards: 8}.apply()
-	if got := os.Getenv("TASKSTREAM_SHARDS"); got != "8" {
-		t.Fatalf("apply with shards=8 set TASKSTREAM_SHARDS=%q, want \"8\"", got)
-	}
-
-	t.Setenv("TASKSTREAM_SHARDS", "4")
-	options{shards: 0}.apply()
-	if got := os.Getenv("TASKSTREAM_SHARDS"); got != "4" {
-		t.Fatalf("apply with shards=0 clobbered TASKSTREAM_SHARDS to %q, want inherited \"4\"", got)
 	}
 }
 

@@ -59,7 +59,9 @@ func (c *cursor) u16() uint16 { return binary.LittleEndian.Uint16([]byte{c.b(), 
 func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32([]byte{c.b(), c.b(), c.b(), c.b()})
 }
-func (c *cursor) addr() mem.Addr { return mem.Addr(uint64(c.b()) | uint64(c.b())<<8 | uint64(c.b())<<16) }
+func (c *cursor) addr() mem.Addr {
+	return mem.Addr(uint64(c.b()) | uint64(c.b())<<8 | uint64(c.b())<<16)
+}
 
 const (
 	fuzzMaxTasks  = 64

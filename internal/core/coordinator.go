@@ -331,10 +331,6 @@ func (c *coordinator) tryForwardGroup(idx int, choose func(weights []int64) []in
 		c.send(resolvedProds[i], lanes[i])
 	}
 	c.send(cr, clane)
-	// Under sharded execution the group's lanes share the start gate:
-	// couple them (serial ticking, lane order) until the consumer
-	// flips it (shard.go).
-	c.m.addCoupling(gate, lanes)
 	c.FwdPairs += int64(len(producers))
 	return true
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"taskstream/internal/mem"
-	"taskstream/internal/noc"
 	"taskstream/internal/obs"
-	"taskstream/internal/proto"
 	"taskstream/internal/sim"
 	"taskstream/internal/stream"
 	"taskstream/internal/trace"
@@ -45,19 +43,6 @@ type Lane struct {
 	m    *Machine
 	eng  *stream.Engine
 	spad *mem.Spad
-
-	// io routes the lane's shared-state interactions (NoC pops,
-	// coordinator notifications, trace records): direct on a serial
-	// machine, barrier-deferred under sharded execution (shard.go).
-	io laneIO
-	// sink receives the lane's observability events: the shared sink
-	// when serial, the per-shard staging buffer (buf) when sharded.
-	sink obs.Emitter
-	// Sharded-execution plumbing, nil on a serial machine.
-	outbox *sim.Outbox
-	port   *noc.ShardPort
-	bodies *proto.ShardPool
-	buf    *obs.Buffer
 
 	queue *sim.Queue[*resolved]
 	cur   *resolved
@@ -103,16 +88,7 @@ func newLane(id int, m *Machine) *Lane {
 		spawnPipe: sim.NewPipe[spawnEvt](0),
 		reserved:  make([]int, m.cfg.Fabric.NumPorts),
 	}
-	if m.sharded {
-		l.outbox = &sim.Outbox{}
-		l.port = m.mesh.NewShardPort(l.node)
-		l.bodies = proto.NewShardPool(m.pool)
-		l.io = shardIO{l: l, port: l.port, ob: l.outbox}
-		l.eng = stream.NewEngine(id, m.cfg, m.topo, l.port, spad, l.bodies)
-	} else {
-		l.io = serialIO{l}
-		l.eng = stream.NewEngine(id, m.cfg, m.topo, m.mesh, spad, m.pool)
-	}
+	l.eng = stream.NewEngine(id, m.cfg, m.topo, m.mesh, spad, m.pool)
 	return l
 }
 
@@ -132,7 +108,7 @@ func (l *Lane) Tick(now sim.Cycle) {
 	// engine's message-handler events carry this cycle's stamp.
 	l.eng.SetCycle(now)
 	for {
-		msg, ok := l.io.pop()
+		msg, ok := l.m.mesh.Pop(l.node)
 		if !ok {
 			break
 		}
@@ -187,7 +163,7 @@ func (l *Lane) observe(now sim.Cycle) {
 // obsEmit closes the current state span at end, if it is non-empty.
 func (l *Lane) obsEmit(end sim.Cycle) {
 	if end > l.obsSince {
-		l.sink.Emit(obs.Event{Cycle: int64(l.obsSince), Dur: int64(end - l.obsSince),
+		l.m.opts.Obs.Emit(obs.Event{Cycle: int64(l.obsSince), Dur: int64(end - l.obsSince),
 			Kind: obs.KindLaneState, Cause: l.obsCause, Comp: int32(l.id), Name: l.obsName})
 	}
 }
@@ -270,7 +246,7 @@ func (l *Lane) startTask(now sim.Cycle) {
 	if r.startGate != nil {
 		*r.startGate = true // unblock paired producers' forwarding
 	}
-	l.io.record(trace.Event{
+	l.m.opts.Trace.Record(trace.Event{
 		Cycle: int64(now), Kind: trace.Start, Lane: l.id,
 		TaskKey: r.task.Key, TypeName: l.m.prog.Types[r.typeID].Name,
 		Phase: r.task.Phase,
@@ -302,7 +278,7 @@ func (l *Lane) run(now sim.Cycle) {
 		if !ok {
 			break
 		}
-		l.io.spawn(ev.task)
+		l.m.coord.spawn(ev.task)
 	}
 
 	// Attempt one firing.
@@ -314,8 +290,8 @@ func (l *Lane) run(now sim.Cycle) {
 
 	// Completion: all firings issued, pipeline drained, streams done.
 	if l.firing == r.firings && l.prod.Empty() && l.spawnPipe.Empty() && l.eng.Done() {
-		l.io.complete(completeEvt{lane: l.id, phase: r.task.Phase, hint: r.hint})
-		l.io.record(trace.Event{
+		l.m.coord.complete(completeEvt{lane: l.id, phase: r.task.Phase, hint: r.hint})
+		l.m.opts.Trace.Record(trace.Event{
 			Cycle: int64(now), Kind: trace.Complete, Lane: l.id,
 			TaskKey: r.task.Key, TypeName: l.m.prog.Types[r.typeID].Name,
 			Phase: r.task.Phase,

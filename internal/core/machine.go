@@ -44,15 +44,6 @@ type Options struct {
 	// TASKSTREAM_NO_FASTFORWARD environment variable disables it
 	// machine-wide for whole-binary A/B comparison.
 	DisableFastForward bool
-	// Shards opts the run into sharded execution (DESIGN.md §16):
-	// lanes tick on worker goroutines with a deterministic epoch
-	// barrier per cycle, byte-identical to serial execution at any
-	// shard count and never entering result identity (Normalized drops
-	// it). 0 reads the TASKSTREAM_SHARDS environment variable; values
-	// ≤1 run serial. Machines with fewer than minShardLanes lanes fall
-	// back to serial (documented auto-fallback: the per-cycle fork/join
-	// would cost more than the parallelism recovers).
-	Shards int
 }
 
 // Machine is one fully wired accelerator instance executing one
@@ -65,7 +56,6 @@ type Machine struct {
 	storage *mem.Storage
 
 	engine   *sim.Engine
-	shEngine *sim.ShardedEngine // non-nil iff sharded; engine aliases its Engine
 	mesh     *noc.Mesh
 	channels []*mem.Channel
 	memctrls []*memCtrl
@@ -73,14 +63,9 @@ type Machine struct {
 	coord    *coordinator
 	mcast    *mcastManager
 
-	// pool is the central recycled-message-body pool; lanes hold
-	// shard-local façades over it under sharded execution (shard.go).
-	pool    *proto.Pool
-	sharded bool
-	// gateGroups / laneCoupled track forward-group start gates whose
-	// lanes must tick serially until the gate flips (shard.go).
-	gateGroups  []gateGroup
-	laneCoupled []bool
+	// pool recycles message bodies for every lane and memory
+	// controller.
+	pool *proto.Pool
 
 	mappings []fabric.Mapping
 	tagData  map[uint64][]uint64
@@ -142,8 +127,6 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 		}
 		m.mappings[i] = mp
 	}
-	shards := resolveShards(opts.Shards)
-	m.sharded = shards > 1 && cfg.Lanes >= minShardLanes
 	m.pool = proto.NewPool()
 	m.mesh = noc.NewMesh(cfg.NoC, topo.Nodes())
 	m.mcast = newMcastManager(sim.Cycle(cfg.Task.CoalesceWindowCycles), cfg.DRAM.LineBytes)
@@ -151,9 +134,6 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 		ch := mem.NewChannel(cfg.DRAM)
 		m.channels = append(m.channels, ch)
 		m.memctrls = append(m.memctrls, newMemCtrl(m, c, ch))
-	}
-	if m.sharded {
-		m.laneCoupled = make([]bool, cfg.Lanes)
 	}
 	for i := 0; i < cfg.Lanes; i++ {
 		m.lanes = append(m.lanes, newLane(i, m))
@@ -167,33 +147,12 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 			ch.SetObs(opts.Obs, int32(c))
 		}
 		for _, l := range m.lanes {
-			if m.sharded {
-				// Parallel-phase emissions stage in a per-lane buffer
-				// flushed to the shared sink at the epoch barrier in
-				// lane order — the serial per-cycle emission order.
-				l.buf = obs.NewBuffer(opts.Obs)
-				l.sink = l.buf
-			} else {
-				l.sink = opts.Obs
-			}
-			l.eng.SetObs(l.sink)
+			l.eng.SetObs(opts.Obs)
 		}
 		m.mcast.obs = opts.Obs
 	}
 
-	if m.sharded {
-		// Worker count: one execution stream per requested shard
-		// (capped by lanes), minus the driving goroutine, which
-		// participates in the parallel phase.
-		streams := shards
-		if streams > cfg.Lanes {
-			streams = cfg.Lanes
-		}
-		m.shEngine = sim.NewShardedEngine(streams - 1)
-		m.engine = &m.shEngine.Engine
-	} else {
-		m.engine = sim.NewEngine()
-	}
+	m.engine = sim.NewEngine()
 	m.engine.FastForward = !opts.DisableFastForward && opts.Obs == nil &&
 		os.Getenv("TASKSTREAM_NO_FASTFORWARD") == ""
 	// Per-ticker micro-skip inside executed cycles: byte-identical by
@@ -207,17 +166,7 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 	m.engine.Register("clock", clockTicker{m: m})
 	m.engine.Register("coordinator", m.coord)
 	for i, l := range m.lanes {
-		if m.sharded {
-			m.shEngine.RegisterParallel(fmt.Sprintf("lane%d", i), l, l.outbox)
-		} else {
-			m.engine.Register(fmt.Sprintf("lane%d", i), l)
-		}
-	}
-	if m.sharded {
-		m.shEngine.SetCoupled(func(k int) bool { return m.laneCoupled[k] })
-		for _, l := range m.lanes {
-			m.shEngine.AddBarrierHook(l.barrierSync)
-		}
+		m.engine.Register(fmt.Sprintf("lane%d", i), l)
 	}
 	m.engine.Register("mesh", m.mesh)
 	for c, mc := range m.memctrls {
@@ -229,33 +178,21 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 	return m, nil
 }
 
-// clockTicker publishes the engine's cycle into m.now and, under
-// sharded execution, prunes flipped forward-group gates before the
-// lanes tick. Registered first, so every other component's Tick sees
-// the fresh value. It never originates events.
+// clockTicker publishes the engine's cycle into m.now. Registered
+// first, so every other component's Tick sees the fresh value. It
+// never originates events.
 type clockTicker struct{ m *Machine }
 
-func (c clockTicker) Tick(now sim.Cycle) {
-	c.m.now = now
-	if c.m.sharded {
-		c.m.pruneGates()
-	}
-}
+func (c clockTicker) Tick(now sim.Cycle) { c.m.now = now }
 
 func (c clockTicker) NextEvent(now sim.Cycle) sim.Cycle { return sim.Never }
 
 // Skip replays the clock's only per-cycle effect in bulk: after ticking
-// cycles [from, to) the last published value would be to-1 (gate
-// pruning is a pure optimization, safe to run at any point). This is
+// cycles [from, to) the last published value would be to-1. This is
 // what lets the forever-quiet clock participate in SkipIdle — its Skip
 // is exactly its Tick — without ever leaving m.now stale for the
 // components that read it (coordinator pipe stamps, trace records).
-func (c clockTicker) Skip(from, to sim.Cycle) {
-	c.m.now = to - 1
-	if c.m.sharded {
-		c.m.pruneGates()
-	}
-}
+func (c clockTicker) Skip(from, to sim.Cycle) { c.m.now = to - 1 }
 
 // chanTicker adapts a DRAM channel (its responses are drained by the
 // memory controller, so the channel itself only ticks).
@@ -312,37 +249,17 @@ func (m *Machine) submitMcast(req proto.McastReq) bool {
 
 // Run executes the program to completion and reports.
 func (m *Machine) Run() (Report, error) {
-	var cycles sim.Cycle
-	var err error
-	if m.shEngine != nil {
-		cycles, err = m.shEngine.Run(m.coord.AllDone)
-	} else {
-		cycles, err = m.engine.Run(m.coord.AllDone)
-	}
-	if ffDebug {
-		obs.Global.Add("ff_runs", 1)
-		obs.Global.Add("ff_executed_cycles", m.engine.ExecutedCycles)
-		obs.Global.Add("ff_skipped_cycles", m.engine.SkippedCycles)
-	}
+	cycles, err := m.engine.Run(m.coord.AllDone)
 	if err != nil {
 		return Report{}, err
 	}
 	if m.opts.Obs != nil {
 		for _, l := range m.lanes {
 			l.obsFlush(cycles)
-			if l.buf != nil {
-				l.buf.Flush() // final span staged after the last barrier
-			}
 		}
 	}
 	return m.report(int64(cycles)), nil
 }
-
-// ffDebug (TASKSTREAM_FF_DEBUG) meters per-run fast-forward cycle
-// accounting — cycles individually executed versus skipped — into the
-// process-wide obs.Global registry, where delta-bench -json and the
-// CLIs surface it.
-var ffDebug = os.Getenv("TASKSTREAM_FF_DEBUG") != ""
 
 // report assembles the statistics snapshot.
 func (m *Machine) report(cycles int64) Report {

@@ -69,11 +69,10 @@ func ParsePolicy(name string) (Policy, error) {
 
 // AmbientPolicy resolves the process-wide default dispatch policy for
 // the dynamic-dispatch baseline variants: TASKSTREAM_POLICY names one
-// of the registered policies (delta-bench -policy sets it, mirroring
-// -shards/TASKSTREAM_SHARDS); unset or unparseable values mean
-// PolicyDynamic, matching the env-junk tolerance of resolveShards.
-// Unlike Shards, the resolved policy lands in Options.Policy and so in
-// every spec's cache key — distinct policies never share cache entries.
+// of the registered policies (delta-bench -policy sets it); unset or
+// unparseable values mean PolicyDynamic. The resolved policy lands in
+// Options.Policy and so in every spec's cache key — distinct policies
+// never share cache entries.
 func AmbientPolicy() Policy {
 	if v := os.Getenv("TASKSTREAM_POLICY"); v != "" {
 		if p, err := ParsePolicy(v); err == nil {
@@ -95,8 +94,7 @@ func AmbientPolicy() Policy {
 //     tasks; it either dispatches exactly one task (or one whole
 //     forward group) through SchedState and returns true, or returns
 //     false meaning no dispatch is possible this cycle.
-//   - All methods run in the coordinator's serial context (the serial
-//     prefix under sharded execution, DESIGN.md §16), so policies need
+//   - All methods run inside the coordinator's Tick, so policies need
 //     no locking.
 //   - §11 fast-forwarding: policy decisions must be event-driven.
 //     State may change on Dispatch, PhaseStart, and TaskCompleted —

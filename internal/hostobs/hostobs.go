@@ -1,7 +1,7 @@
 // Package hostobs observes the host, not the machine: wall-clock
 // metrics about the simulator process itself — cache-tier hit
-// counters, resolve and HTTP latency distributions, shard-pool phase
-// attribution — as opposed to internal/obs, which observes simulated
+// counters, resolve and HTTP latency distributions, the simulation
+// run meter — as opposed to internal/obs, which observes simulated
 // cycles. It is a dependency-free, lock-cheap metrics registry:
 // counters and gauges are single atomics, histograms are bounded
 // log-scale bucket arrays of atomics, and the registry mutex is taken
@@ -99,8 +99,8 @@ type Histogram struct {
 }
 
 // LatencyBuckets is the default bound set: a 1–2.5–5 log scale from
-// 1µs to 60s, wide enough to hold both sub-millisecond shard-pool
-// phases and minute-long cold simulations in one bounded array.
+// 1µs to 60s, wide enough to hold both sub-millisecond memory-tier
+// hits and minute-long cold simulations in one bounded array.
 var LatencyBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6,
 	1e-5, 2.5e-5, 5e-5,

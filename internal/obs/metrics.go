@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"taskstream/internal/stats"
 )
@@ -155,55 +154,3 @@ func (m *Metrics) StallSummary(lanes int, totalCycles int64) string {
 	}
 	return b.String()
 }
-
-// Registry is a mutex-guarded process-wide counter set for metrics
-// that aggregate across runs rather than within one — the
-// fast-forward executed/skipped meters flow through it so harness
-// binaries can report them without every run printing ad hoc.
-type Registry struct {
-	mu  sync.Mutex
-	set *stats.Set
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{set: stats.NewSet()} }
-
-// Add increments counter name by delta.
-func (r *Registry) Add(name string, delta int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.set.Add(name, delta)
-}
-
-// Snapshot returns an independent copy of the current counters.
-func (r *Registry) Snapshot() *stats.Set {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.set.Clone()
-}
-
-// Line renders the registry's counters as one "name=value ..." line in
-// first-use order, for stderr summaries.
-func (r *Registry) Line() string {
-	s := r.Snapshot()
-	var b strings.Builder
-	for i, n := range s.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, s.Get(n))
-	}
-	return b.String()
-}
-
-// Empty reports whether nothing has been recorded.
-func (r *Registry) Empty() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.set.Names()) == 0
-}
-
-// Global is the process-wide registry harness binaries report from
-// (delta-bench appends it to -json output, delta-sim prints it to
-// stderr when TASKSTREAM_FF_DEBUG is set).
-var Global = NewRegistry()

@@ -111,30 +111,3 @@ func TestStallSummaryRenders(t *testing.T) {
 		t.Fatal("share row must be suppressed without a cycle count")
 	}
 }
-
-// TestRegistry pins the process-wide counter registry delta-bench and
-// the CLIs report from.
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if !r.Empty() {
-		t.Fatal("new registry must be empty")
-	}
-	r.Add("ff_runs", 1)
-	r.Add("ff_skipped_cycles", 10)
-	r.Add("ff_runs", 1)
-	if r.Empty() {
-		t.Fatal("registry with counters must not be empty")
-	}
-	snap := r.Snapshot()
-	if snap.Get("ff_runs") != 2 || snap.Get("ff_skipped_cycles") != 10 {
-		t.Fatalf("snapshot wrong: %s", snap.String())
-	}
-	// Snapshot is a copy: later adds must not leak in.
-	r.Add("ff_runs", 5)
-	if snap.Get("ff_runs") != 2 {
-		t.Fatal("snapshot must be independent of later adds")
-	}
-	if got := r.Line(); got != "ff_runs=7 ff_skipped_cycles=10" {
-		t.Fatalf("Line() = %q", got)
-	}
-}

@@ -1,10 +1,8 @@
 package sim
 
-// This file provides the hot-path allocation machinery for sharded
-// execution (DESIGN.md §16): LIFO free lists ("slabs") for the message
-// structs that dominate the simulator's heap profile, and the Outbox
-// that carries a parallel ticker's cross-shard side effects to the
-// deterministic epoch barrier.
+// This file provides the hot-path allocation machinery (DESIGN.md §16):
+// LIFO free lists ("slabs") for the message structs that dominate the
+// simulator's heap profile.
 //
 // The kernel's own containers (Pipe, Queue, Deque) are already
 // allocation-free in steady state — they recycle ring and heap slots in
@@ -15,10 +13,6 @@ package sim
 // Slab is a LIFO free list of *T for single-goroutine use. Get returns
 // a zeroed object (recycled when possible, freshly allocated
 // otherwise); Put recycles one. The zero value is ready to use.
-//
-// A Slab must only be touched from serial execution contexts — under a
-// ShardedEngine that means the serial prefix/suffix tickers and the
-// barrier. Parallel tickers go through ShardSlab.
 type Slab[T any] struct {
 	free []*T
 }
@@ -44,86 +38,3 @@ func (s *Slab[T]) Put(p *T) {
 
 // Len returns the free-list depth (tests pin recycling with it).
 func (s *Slab[T]) Len() int { return len(s.free) }
-
-// ShardSlab is a shard-local façade over a central Slab: Get and Put
-// touch only the local stock, so a parallel ticker allocates and frees
-// without synchronizing on the shared heap or the central list. Recycle
-// — called at the epoch barrier, from serial context — rebalances the
-// local stock against the central slab: excess frees flow back, and the
-// stock is refilled up to target so the next parallel phase starts
-// provisioned.
-//
-// The flow handles producer/consumer asymmetry across shard boundaries:
-// a lane shard frees response structs it never allocates and allocates
-// request structs it never frees; the barrier exchange routes each
-// type's surplus to its allocator.
-type ShardSlab[T any] struct {
-	central *Slab[T]
-	local   []*T
-	target  int
-}
-
-// NewShardSlab returns a shard-local slab over central, keeping up to
-// target objects stocked locally across barriers.
-func NewShardSlab[T any](central *Slab[T], target int) *ShardSlab[T] {
-	return &ShardSlab[T]{central: central, target: target}
-}
-
-// Get returns a zeroed *T from the local stock, allocating only when
-// the stock is dry.
-func (s *ShardSlab[T]) Get() *T {
-	if n := len(s.local); n > 0 {
-		p := s.local[n-1]
-		s.local[n-1] = nil
-		s.local = s.local[:n-1]
-		return p
-	}
-	return new(T)
-}
-
-// Put zeroes p and returns it to the local stock, where a Get later in
-// the same parallel phase can reuse it immediately.
-func (s *ShardSlab[T]) Put(p *T) {
-	var zero T
-	*p = zero
-	s.local = append(s.local, p)
-}
-
-// Recycle rebalances the local stock against the central slab. Must be
-// called from serial context (the epoch barrier).
-func (s *ShardSlab[T]) Recycle() {
-	for len(s.local) > s.target {
-		n := len(s.local) - 1
-		s.central.free = append(s.central.free, s.local[n])
-		s.local[n] = nil
-		s.local = s.local[:n]
-	}
-	for len(s.local) < s.target && len(s.central.free) > 0 {
-		n := len(s.central.free) - 1
-		s.local = append(s.local, s.central.free[n])
-		s.central.free[n] = nil
-		s.central.free = s.central.free[:n]
-	}
-}
-
-// Outbox collects the cross-shard side effects a parallel ticker defers
-// during the parallel phase of a sharded cycle. The sharded engine
-// drains every outbox at the epoch barrier in shard registration order,
-// so deferred effects land in the same relative order serial execution
-// would have produced. Each Outbox belongs to exactly one parallel
-// ticker and must only be written from that ticker's Tick.
-type Outbox struct {
-	fns []func()
-}
-
-// Defer queues fn to run at the epoch barrier.
-func (o *Outbox) Defer(fn func()) { o.fns = append(o.fns, fn) }
-
-// drain runs and clears the deferred effects in FIFO order.
-func (o *Outbox) drain() {
-	for i := range o.fns {
-		o.fns[i]()
-		o.fns[i] = nil
-	}
-	o.fns = o.fns[:0]
-}

@@ -1,18 +1,70 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// toyLane owns a counter, "fires" on cycles set by a per-lane
+// deterministic schedule, and reports every firing to a shared log.
+// Firing limit times completes it.
+type toyLane struct {
+	id     int
+	period Cycle
+	limit  int
+	fired  int
+	busy   int64 // time-linear accounting replayed by Skip
+	log    *[]string
+}
+
+func (t *toyLane) Tick(now Cycle) {
+	t.busy++
+	if t.fired < t.limit && now%t.period == Cycle(t.id)%t.period {
+		t.fired++
+		*t.log = append(*t.log, fmt.Sprintf("c%d lane%d fire%d", now, t.id, t.fired))
+	}
+}
+
+func (t *toyLane) Idle() bool { return t.fired >= t.limit }
+
+func (t *toyLane) NextEvent(now Cycle) Cycle {
+	if t.fired >= t.limit {
+		return Never
+	}
+	for c := now; ; c++ {
+		if c%t.period == Cycle(t.id)%t.period {
+			return c
+		}
+	}
+}
+
+func (t *toyLane) Skip(from, to Cycle) { t.busy += int64(to - from) }
+
+// buildToy wires nLanes toy lanes with staggered schedules into an
+// engine.
+func buildToy(nLanes int, ff bool) (*Engine, []*toyLane, *[]string) {
+	log := &[]string{}
+	e := NewEngine()
+	e.FastForward = ff
+	lanes := make([]*toyLane, nLanes)
+	for i := range lanes {
+		lanes[i] = &toyLane{id: i, period: Cycle(3 + i%4), limit: 5 + i%3, log: log}
+		e.Register(fmt.Sprintf("lane%d", i), lanes[i])
+	}
+	return e, lanes, log
+}
+
 // TestHostProfIdentity pins the feedback-free contract at the engine
-// level: a profiled sharded run produces exactly the cycle count,
-// per-lane state, and ordered effect log of an unprofiled one.
+// level: a profiled run produces exactly the cycle count, per-lane
+// state, and ordered effect log of an unprofiled one, and its meter
+// accounts for every cycle as executed or fast-forwarded.
 func TestHostProfIdentity(t *testing.T) {
+	defer SetHostProf(false)
 	for _, ff := range []bool{false, true} {
 		run := func() (Cycle, []*toyLane, []string) {
-			e, lanes, log := buildToy(6, 2, ff)
+			e, lanes, log := buildToy(6, ff)
 			c, err := e.Run(nil)
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -39,82 +91,63 @@ func TestHostProfIdentity(t *testing.T) {
 					ff, i, lanesPlain[i].fired, lanesPlain[i].busy, lanesProf[i].fired, lanesProf[i].busy)
 			}
 		}
-		if snap.Runs != 1 || snap.ShardedRuns != 1 {
-			t.Fatalf("ff=%v: snapshot runs = %+v, want 1 sharded run", ff, snap)
+		if snap.Runs != 1 || snap.TotalNS <= 0 {
+			t.Fatalf("ff=%v: snapshot = %+v, want 1 run with wall time", ff, snap)
 		}
-		if snap.TotalNS <= 0 {
-			t.Fatalf("ff=%v: no wall time recorded: %+v", ff, snap)
+		if got := snap.ExecutedCycles + snap.SkippedCycles; got != int64(cProf) {
+			t.Fatalf("ff=%v: executed %d + skipped %d = %d, want the run's %d cycles",
+				ff, snap.ExecutedCycles, snap.SkippedCycles, got, cProf)
 		}
-		if len(snap.ShardBusyNS) != 6 {
-			t.Fatalf("ff=%v: shard busy slots = %d, want 6", ff, len(snap.ShardBusyNS))
-		}
-		if snap.ExecutedCycles <= 0 {
-			t.Fatalf("ff=%v: no executed cycles recorded", ff)
+		if ff != (snap.SkippedCycles > 0) {
+			t.Fatalf("ff=%v: skipped cycles = %d", ff, snap.SkippedCycles)
 		}
 	}
 }
 
-// TestHostProfSerialEngine checks a plain Engine contributes run
-// totals (but no phase attribution) to the aggregate.
+// TestHostProfSerialEngine checks that successive runs accumulate in
+// the process-wide aggregate until it is reset.
 func TestHostProfSerialEngine(t *testing.T) {
 	SetHostProf(true)
 	defer SetHostProf(false)
 	ResetHostProf()
-	e, _, _ := buildToy(4, 0, false)
-	if _, err := e.Run(nil); err != nil {
-		t.Fatal(err)
+	var cycles int64
+	for i := 0; i < 2; i++ {
+		e, _, _ := buildToy(4, true)
+		c, err := e.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles += int64(c)
 	}
 	snap := HostProfSnapshot()
-	if snap.Runs != 1 || snap.ShardedRuns != 0 {
-		t.Fatalf("snapshot = %+v, want 1 serial run", snap)
+	if snap.Runs != 2 || snap.ExecutedCycles+snap.SkippedCycles != cycles {
+		t.Fatalf("snapshot = %+v, want 2 runs covering %d cycles", snap, cycles)
 	}
-	rep := snap.Report()
-	if !strings.Contains(rep, "no sharded runs") {
-		t.Fatalf("serial-only report should say attribution is unavailable:\n%s", rep)
+	ResetHostProf()
+	if snap := HostProfSnapshot(); snap != (HostProf{}) {
+		t.Fatalf("reset left %+v", snap)
 	}
 }
 
 // TestHostProfReportShape checks the -hostprof rendering carries the
-// barrier-wait attribution and the Amdahl split.
+// run count and the executed versus fast-forwarded split.
 func TestHostProfReportShape(t *testing.T) {
-	SetHostProf(true)
-	defer SetHostProf(false)
-	ResetHostProf()
-	e, _, _ := buildToy(8, 3, false)
-	if _, err := e.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	snap := HostProfSnapshot()
-	rep := snap.Report()
-	for _, want := range []string{
-		"barrier wait", "serial prefix", "serial suffix", "outbox drain",
-		"parallel fraction p =", "per-shard busy",
-	} {
+	p := HostProf{Runs: 3, ExecutedCycles: 120, SkippedCycles: 45, TotalNS: 2_500_000}
+	rep := p.Report()
+	for _, want := range []string{"host profile: 3 runs", "wall 2.50ms", "120 executed", "45 fast-forwarded"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if snap.ParallelFraction() < 0 || snap.ParallelFraction() > 1 {
-		t.Fatalf("parallel fraction out of range: %v", snap.ParallelFraction())
-	}
-	if snap.Streams != 4 {
-		t.Fatalf("streams = %d, want 4 (3 workers + driver)", snap.Streams)
-	}
 }
 
-// TestHostProfMerge checks aggregate folding across runs and slices of
-// different lengths.
+// TestHostProfMerge checks aggregate folding across runs.
 func TestHostProfMerge(t *testing.T) {
 	var p HostProf
-	p.merge(&HostProf{Runs: 1, ShardBusyNS: []int64{5, 5}, Streams: 2, TotalNS: 10})
-	p.merge(&HostProf{Runs: 1, ShardedRuns: 1, ShardBusyNS: []int64{1, 2, 3, 4}, Streams: 4, TotalNS: 20})
-	if p.Runs != 2 || p.ShardedRuns != 1 || p.TotalNS != 30 || p.Streams != 4 {
-		t.Fatalf("merge totals wrong: %+v", p)
-	}
-	if !reflect.DeepEqual(p.ShardBusyNS, []int64{6, 7, 3, 4}) {
-		t.Fatalf("merged shard busy = %v", p.ShardBusyNS)
-	}
-	if p.ShardBusyTotalNS() != 20 {
-		t.Fatalf("shard busy total = %d", p.ShardBusyTotalNS())
+	p.merge(&HostProf{Runs: 1, ExecutedCycles: 7, SkippedCycles: 3, TotalNS: 10})
+	p.merge(&HostProf{Runs: 1, ExecutedCycles: 5, SkippedCycles: 0, TotalNS: 20})
+	want := HostProf{Runs: 2, ExecutedCycles: 12, SkippedCycles: 3, TotalNS: 30}
+	if p != want {
+		t.Fatalf("merge = %+v, want %+v", p, want)
 	}
 }

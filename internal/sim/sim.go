@@ -34,17 +34,12 @@
 // instead of ticking it. Because the forecast is evaluated at the
 // component's own position in the tick order, it sees exactly the
 // state its Tick would have seen, which keeps the substitution exact.
-//
-// # Sharded execution
-//
-// ShardedEngine (shard.go) extends the kernel to tick an independent
-// group of components on worker goroutines with a deterministic epoch
-// barrier per cycle; see DESIGN.md §16.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"time"
 )
 
 // Cycle is a point in simulated time, measured in clock cycles from
@@ -191,24 +186,19 @@ func (e *Engine) Register(name string, t Ticker) {
 // Now returns the current cycle (the number of fully executed cycles).
 func (e *Engine) Now() Cycle { return e.now }
 
-// tickOne advances component i by one cycle, substituting its bulk
-// accounting when SkipIdle applies. It mutates no engine state, so the
-// sharded engine can call it concurrently for independent components.
-func (e *Engine) tickOne(i int) {
-	r := &e.regs[i]
-	if e.SkipIdle && r.f != nil && r.f.NextEvent(e.now) > e.now {
-		if r.s != nil {
-			r.s.Skip(e.now, e.now+1)
-		}
-		return
-	}
-	r.t.Tick(e.now)
-}
-
-// Step executes exactly one cycle.
+// Step executes exactly one cycle. Under SkipIdle a component whose
+// forecast is beyond now gets its bulk-exact one-cycle Skip instead of
+// Tick.
 func (e *Engine) Step() {
 	for i := range e.regs {
-		e.tickOne(i)
+		r := &e.regs[i]
+		if e.SkipIdle && r.f != nil && r.f.NextEvent(e.now) > e.now {
+			if r.s != nil {
+				r.s.Skip(e.now, e.now+1)
+			}
+			continue
+		}
+		r.t.Tick(e.now)
 	}
 	e.now++
 	e.ExecutedCycles++
@@ -252,19 +242,6 @@ func (e *Engine) skipTo(h Cycle) {
 	e.now = h
 }
 
-// step is the engine's single-cycle driver hook (see driver).
-func (e *Engine) step() { e.Step() }
-
-// driver abstracts how one cycle executes and how the fast-forward
-// protocol fans out, so the serial Engine and the ShardedEngine share
-// one run loop — and therefore exactly one termination, limit, and
-// skip policy.
-type driver interface {
-	step()
-	horizon() Cycle
-	skipTo(h Cycle)
-}
-
 // Run executes cycles until done() returns true and all components are
 // idle, returning the total executed cycles. done may be nil, in which
 // case only quiescence terminates the run. Run returns an error if the
@@ -276,18 +253,15 @@ type driver interface {
 // cycle-by-cycle run.
 func (e *Engine) Run(done func() bool) (Cycle, error) {
 	if !hostProfOn.Load() {
-		return e.runLoop(e, done)
+		return e.run(done)
 	}
-	// Host profiling (hostprof.go): a serial engine carries no phase
-	// attribution, only run totals.
-	t0 := nowNS()
-	c, err := e.runLoop(e, done)
+	t0 := time.Now()
+	c, err := e.run(done)
 	mergeHostProf(&HostProf{
 		Runs:           1,
 		ExecutedCycles: e.ExecutedCycles,
 		SkippedCycles:  e.SkippedCycles,
-		TotalNS:        nowNS() - t0,
-		Streams:        1,
+		TotalNS:        int64(time.Since(t0)),
 	})
 	return c, err
 }
@@ -298,8 +272,8 @@ func (e *Engine) ffEngaged() bool {
 	return e.FastForward && e.nForecast == len(e.regs)
 }
 
-// runLoop is the shared cycle loop; d supplies the execution strategy.
-func (e *Engine) runLoop(d driver, done func() bool) (Cycle, error) {
+// run is the cycle loop behind Run.
+func (e *Engine) run(done func() bool) (Cycle, error) {
 	limit := e.MaxCycles
 	if limit <= 0 {
 		limit = DefaultMaxCycles
@@ -312,11 +286,11 @@ func (e *Engine) runLoop(d driver, done func() bool) (Cycle, error) {
 		if e.now >= limit {
 			return e.now, fmt.Errorf("sim: cycle limit %d exceeded; busy components: %v", limit, e.busyNames())
 		}
-		d.step()
+		e.Step()
 		if !ff {
 			continue
 		}
-		h := d.horizon()
+		h := e.horizon()
 		if h <= e.now {
 			continue
 		}
@@ -333,7 +307,7 @@ func (e *Engine) runLoop(d driver, done func() bool) (Cycle, error) {
 			h = limit
 		}
 		if h > e.now {
-			d.skipTo(h)
+			e.skipTo(h)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"taskstream/internal/runplan"
+	"taskstream/internal/sim"
 )
 
 // syncBuffer is a goroutine-safe log sink for access-log assertions.
@@ -113,6 +114,42 @@ func TestServerMetricsReconcileWithStats(t *testing.T) {
 	// Disk gauges are exported when a store is attached.
 	if got := promValue(t, scrape, "store_saves"); got != 1 {
 		t.Errorf("store_saves = %d, want 1", got)
+	}
+}
+
+// TestServerHostProfMetrics pins the profiling surface of /metrics:
+// one served miss is one metered run whose executed and fast-forwarded
+// cycles add up to the served report's cycle count.
+func TestServerHostProfMetrics(t *testing.T) {
+	t.Cleanup(func() {
+		sim.SetHostProf(false)
+		sim.ResetHostProf()
+	})
+	sim.ResetHostProf()
+	r := runplan.NewRunner()
+	r.SetDisabled(false)
+	srv := NewServer(r, nil, 1)
+	srv.EnableHostProf()
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	rep, cached, err := NewClient(ts.URL).RunWire(wireSpec(t, histSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached != "miss" {
+		t.Fatalf("provenance = %q, want miss", cached)
+	}
+	code, scrape := get(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics returned %d", code)
+	}
+	if got := promValue(t, scrape, "sim_hostprof_runs"); got != 1 {
+		t.Fatalf("sim_hostprof_runs = %d, want 1", got)
+	}
+	executed := promValue(t, scrape, "sim_hostprof_executed_cycles")
+	skipped := promValue(t, scrape, "sim_hostprof_skipped_cycles")
+	if executed+skipped != rep.Cycles {
+		t.Fatalf("executed %d + skipped %d cycles != report's %d", executed, skipped, rep.Cycles)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -108,6 +109,30 @@ func (s *Server) resolve(ws runplan.WireSpec) RunResponse {
 	return RunResponse{Key: key, Cached: src.String(), Report: b}
 }
 
+// maxRequestBytes bounds a /v1/run or /v1/suite request body. One
+// suite wire spec marshals to about 600 B, so the bound admits batches
+// of tens of thousands of specs while keeping one client from making
+// the daemon buffer an arbitrarily large JSON document.
+const maxRequestBytes = 16 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBytes. On failure it answers the request itself — 413 for
+// an oversized body, 400 for a malformed one, both with a RunResponse
+// error — and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, RunResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	return false
+}
+
 // handleRun implements POST /v1/run: one spec in, one report out.
 // Unresolvable specs are the client's fault (400); execution failures
 // are the simulation's (500); both carry a RunResponse body with
@@ -118,8 +143,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, RunResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	resp := s.resolve(req.Spec)
@@ -148,8 +172,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SuiteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, RunResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"taskstream/internal/baseline"
@@ -99,6 +100,32 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unresolvable spec returned HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsOversizedBodies pins the request-body bound: a body
+// past maxRequestBytes is refused with 413 and a RunResponse error on
+// both POST routes, before any spec resolves.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	c, r, _ := newTestService(t)
+	body := []byte(`{"spec":{"workload":"` + strings.Repeat("a", maxRequestBytes) + `"}}`)
+	for _, route := range []string{"/v1/run", "/v1/suite"} {
+		resp, err := http.Post(c.base+route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr RunResponse
+		err = json.NewDecoder(resp.Body).Decode(&rr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body returned HTTP %d, want 413", route, resp.StatusCode)
+		}
+		if err != nil || rr.Error == "" {
+			t.Fatalf("%s: want a RunResponse error, got %+v (decode: %v)", route, rr, err)
+		}
+	}
+	if n := r.Counters().Misses; n != 0 {
+		t.Fatalf("oversized requests executed %d simulations", n)
 	}
 }
 
