@@ -8,8 +8,7 @@
 // `delta-bench > bench_results.txt` is reproducible however the run
 // was parallelized or memoized. Duplicate simulations across
 // experiments resolve through the shared run-plan cache
-// (internal/runplan, DESIGN.md §12); set TASKSTREAM_NO_RUNCACHE=1 to
-// force every spec to execute.
+// (internal/runplan, DESIGN.md §12).
 //
 // Usage:
 //
@@ -38,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"taskstream/internal/core"
 	"taskstream/internal/experiments"
 	"taskstream/internal/parallel"
 	"taskstream/internal/runplan"
@@ -53,33 +51,14 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	server := flag.String("server", "", "resolve simulations through the delta-serve daemon at this URL")
-	policy := flag.String("policy", "",
-		"dispatch policy for every dynamic-dispatch run ("+strings.Join(core.PolicyNames(), ", ")+"); empty reads TASKSTREAM_POLICY")
 	hostprof := flag.Bool("hostprof", false,
-		"meter engine runs: runs, executed vs fast-forwarded cycles and wall time to stderr, cycle counts as a -json ffstats entry (stdout unchanged)")
+		"report the engine run meter: runs, executed vs fast-forwarded cycles and wall time to stderr, cycle counts as a -json ffstats entry (stdout unchanged)")
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "delta-bench: -j must be >= 1 (got %d)\n", *jobs)
 		os.Exit(1)
 	}
-	if *policy != "" {
-		if _, err := core.ParsePolicy(*policy); err != nil {
-			fmt.Fprintf(os.Stderr, "delta-bench: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *policy != "" {
-		// The run-time-dispatch baseline variants resolve their
-		// scheduler via core.AmbientPolicy, so the flag rides the
-		// environment. The policy lands in every cache key (distinct
-		// policies never share entries). E16 pins its own policies
-		// explicitly and is unaffected.
-		os.Setenv("TASKSTREAM_POLICY", *policy)
-	}
 	experiments.SetWorkers(*jobs)
-	if *hostprof {
-		sim.SetHostProf(true)
-	}
 
 	var client *store.Client
 	if *server != "" {
@@ -163,11 +142,7 @@ func main() {
 	if client != nil {
 		fmt.Fprintf(os.Stderr, "[server %s: %s]\n", *server, client.CountsLine())
 	} else {
-		cacheState := "on"
-		if runplan.Shared.Disabled() {
-			cacheState = "off"
-		}
-		fmt.Fprintf(os.Stderr, "[run cache %s: %s]\n", cacheState, runplan.Shared.Counters())
+		fmt.Fprintf(os.Stderr, "[run cache: %s]\n", runplan.Shared.Counters())
 	}
 	if *hostprof {
 		// Stderr only: the suite's stdout stays byte-identical with and

@@ -26,7 +26,6 @@ import (
 	"taskstream/internal/isa"
 	"taskstream/internal/obs"
 	"taskstream/internal/stats"
-	"taskstream/internal/trace"
 	"taskstream/internal/workload"
 )
 
@@ -149,10 +148,12 @@ func main() {
 	v, _ := variantByName(o.variant)
 	mcfg, opts := v.Configure(cfg)
 	o.applyPolicy(&opts)
-	var rec *trace.Recorder
+	var sink *obs.Sink
 	if o.timeline {
-		rec = trace.New(200000)
-		opts.Trace = rec
+		// The timeline folds from the sink's task spans, which survive
+		// the buffer limit, so the raw event buffer can stay tiny.
+		sink = obs.New(1)
+		opts.Obs = sink
 	}
 	rep, err := baseline.RunCfg(mcfg, opts, w.Prog, w.Storage)
 	if err != nil {
@@ -175,9 +176,9 @@ func main() {
 		rep.Stats.Get("stall_in_fwd"), rep.Stats.Get("stall_in_mcast"),
 		rep.Stats.Get("stall_out"))
 
-	if rec != nil {
+	if sink != nil {
 		fmt.Println()
-		fmt.Print(rec.Timeline(o.lanes, 100))
+		fmt.Print(sink.Timeline(o.lanes, 100))
 	}
 }
 

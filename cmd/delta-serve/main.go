@@ -30,11 +30,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"taskstream/internal/core"
 	"taskstream/internal/runplan"
 	"taskstream/internal/store"
 )
@@ -46,7 +44,6 @@ type options struct {
 	storeDir   string
 	storeMaxMB int64
 	jobs       int
-	policy     string
 	logFormat  string
 	accessLog  bool
 	hostprof   bool
@@ -62,26 +59,14 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.storeDir, "store", "delta-store", "disk store directory; empty = memory-only")
 	fs.Int64Var(&o.storeMaxMB, "store-max-mb", 0, "disk store size bound in MiB (0 = unbounded)")
 	fs.IntVar(&o.jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	fs.StringVar(&o.policy, "policy", "",
-		"default dispatch policy for wire specs that omit one ("+strings.Join(core.PolicyNames(), ", ")+"); empty = dynamic")
 	fs.StringVar(&o.logFormat, "log-format", "text", "access-log format: text or json")
 	fs.BoolVar(&o.accessLog, "access-log", true, "log one structured line per request to stderr")
 	fs.BoolVar(&o.hostprof, "hostprof", false,
-		"meter served simulations; exports sim_hostprof_* gauges at /metrics")
+		"export the sim run meter as sim_hostprof_* gauges at /metrics")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
 	return o, nil
-}
-
-// validatePolicy checks the -policy name; unlike the structural flag
-// checks (exit 1), a bad policy name is a usage error and exits 2.
-func (o options) validatePolicy() error {
-	if o.policy == "" {
-		return nil
-	}
-	_, err := core.ParsePolicy(o.policy)
-	return err
 }
 
 // validate checks every flag value up front so main can exit 1 cleanly
@@ -119,10 +104,6 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	if err := o.validatePolicy(); err != nil {
-		fmt.Fprintf(os.Stderr, "delta-serve: %v\n", err)
-		os.Exit(2)
-	}
 	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "delta-serve: %v\n", err)
 		os.Exit(1)
@@ -132,7 +113,6 @@ func main() {
 	// one: delta-serve is the only spec source in this process, and an
 	// isolated runner keeps its counters meaningful for /v1/stats.
 	runner := runplan.NewRunner()
-	runner.SetDisabled(false)
 
 	var disk *store.DiskStore
 	if o.storeDir != "" {
@@ -155,16 +135,12 @@ func main() {
 		os.Exit(1)
 	}
 	handler := store.NewServer(runner, disk, o.jobs)
-	if o.policy != "" {
-		handler.SetDefaultPolicy(o.policy)
-		fmt.Fprintf(os.Stderr, "delta-serve: default policy %s\n", o.policy)
-	}
 	if o.accessLog {
 		handler.SetRequestLog(os.Stderr, o.logFormat)
 	}
 	if o.hostprof {
 		handler.EnableHostProf()
-		fmt.Fprintln(os.Stderr, "delta-serve: sim host profiling on (sim_hostprof_* at /metrics)")
+		fmt.Fprintln(os.Stderr, "delta-serve: sim run meter exported (sim_hostprof_* at /metrics)")
 	}
 	srv := newHTTPServer(handler)
 	fmt.Fprintf(os.Stderr, "delta-serve: listening on %s (-j %d)\n", ln.Addr(), o.jobs)

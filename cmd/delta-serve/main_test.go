@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"taskstream/internal/core"
 )
 
 // TestParseFlagsDefaults pins the daemon's documented defaults: port
@@ -28,16 +26,14 @@ func TestParseFlagsDefaults(t *testing.T) {
 // TestParseFlagsPlumbing checks every flag reaches its options field.
 func TestParseFlagsPlumbing(t *testing.T) {
 	o, err := parseFlags([]string{
-		"-addr", ":9000", "-store", "/tmp/ds", "-store-max-mb", "512",
-		"-j", "3", "-policy", "streamgraph",
+		"-addr", ":9000", "-store", "/tmp/ds", "-store-max-mb", "512", "-j", "3",
 		"-log-format", "json", "-access-log=false", "-hostprof",
 	})
 	if err != nil {
 		t.Fatalf("parseFlags: %v", err)
 	}
 	want := options{addr: ":9000", storeDir: "/tmp/ds", storeMaxMB: 512, jobs: 3,
-		policy: "streamgraph", logFormat: "json", accessLog: false,
-		hostprof: true}
+		logFormat: "json", accessLog: false, hostprof: true}
 	if o != want {
 		t.Fatalf("parseFlags = %+v, want %+v", o, want)
 	}
@@ -82,23 +78,6 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("validate(%+v) = %q, want substring %q", o, err, c.wantErr)
 			}
 		})
-	}
-}
-
-// TestValidatePolicy pins the -policy check: every canonical name and
-// the empty default pass; anything else is a usage error (main exits 2).
-func TestValidatePolicy(t *testing.T) {
-	for _, name := range append(core.PolicyNames(), "") {
-		if err := (options{policy: name}.validatePolicy()); err != nil {
-			t.Errorf("validatePolicy(%q) = %v, want nil", name, err)
-		}
-	}
-	err := options{policy: "fifo"}.validatePolicy()
-	if err == nil {
-		t.Fatal("validatePolicy accepted an unknown policy name")
-	}
-	if !strings.Contains(err.Error(), "fifo") {
-		t.Fatalf("validatePolicy error %q does not name the bad policy", err)
 	}
 }
 

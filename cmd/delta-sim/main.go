@@ -38,8 +38,7 @@ type options struct {
 }
 
 // validatePolicy checks the -policy name separately from the
-// structural flags: a bad policy name is a usage error and exits 2,
-// matching delta-bench and delta-serve.
+// structural flags: a bad policy name is a usage error and exits 2.
 func (o options) validatePolicy() error {
 	if o.policy == "" {
 		return nil
@@ -120,7 +119,7 @@ func main() {
 	flag.IntVar(&o.traceLimit, "trace-limit", 250000,
 		"max buffered trace events (0 = unbounded; metrics keep counting past the limit)")
 	flag.BoolVar(&o.hostprof, "hostprof", false,
-		"meter the engine run: executed vs fast-forwarded cycles and wall time to stderr (results unchanged)")
+		"report the engine run meter: executed vs fast-forwarded cycles and wall time to stderr (results unchanged)")
 	flag.Parse()
 
 	if err := o.validatePolicy(); err != nil {
@@ -143,17 +142,14 @@ func main() {
 	opts.Hints = hm
 	opts.Vet = o.vet
 	if o.policy != "" {
-		// Explicit -policy overrides the variant's resolved policy,
-		// including the static comparator's pin.
+		// Explicit -policy overrides the variant's policy, including
+		// the static comparator's pin.
 		opts.Policy, _ = core.ParsePolicy(o.policy)
 	}
 	var sink *obs.Sink
 	if o.traceOut != "" {
 		sink = obs.New(o.traceLimit)
 		opts.Obs = sink
-	}
-	if o.hostprof {
-		sim.SetHostProf(true)
 	}
 	rep, err := baseline.RunCfg(cfg, opts, w.Prog, w.Storage)
 	if err != nil {

@@ -59,36 +59,32 @@ func (v Variant) String() string {
 
 // Configure returns the machine configuration and options realizing the
 // variant on top of the given datapath description. Every variant vets
-// the program statically before wiring the machine (Options.Vet).
-//
-// The run-time-dispatch variants resolve their scheduler through
-// core.AmbientPolicy (TASKSTREAM_POLICY / delta-bench -policy), so the
-// whole experiment suite can be swept under an alternative policy; the
-// Static variant stays pinned to PolicyStatic — it is the comparator.
-// The resolved policy lands in Options.Policy and therefore in every
-// spec's cache key.
+// the program statically before wiring the machine (Options.Vet). The
+// run-time-dispatch variants use PolicyDynamic and the Static variant
+// PolicyStatic; callers that want another policy set Options.Policy
+// on the result.
 func (v Variant) Configure(cfg config.Config) (config.Config, core.Options) {
 	switch v {
 	case Static:
 		return cfg.StaticModel(), core.Options{Policy: core.PolicyStatic, Vet: true}
 	case DynamicRR:
 		c := cfg.StaticModel()
-		return c, core.Options{Policy: core.AmbientPolicy(), Vet: true}
+		return c, core.Options{Policy: core.PolicyDynamic, Vet: true}
 	case LB:
 		c := cfg.StaticModel()
 		c.Task.EnableWorkAwareLB = true
-		return c, core.Options{Policy: core.AmbientPolicy(), Vet: true}
+		return c, core.Options{Policy: core.PolicyDynamic, Vet: true}
 	case LBMC:
 		c := cfg.StaticModel()
 		c.Task.EnableWorkAwareLB = true
 		c.Task.EnableMulticast = true
-		return c, core.Options{Policy: core.AmbientPolicy(), Vet: true}
+		return c, core.Options{Policy: core.PolicyDynamic, Vet: true}
 	default:
 		c := cfg
 		c.Task.EnableWorkAwareLB = true
 		c.Task.EnableMulticast = true
 		c.Task.EnableForwarding = true
-		return c, core.Options{Policy: core.AmbientPolicy(), Vet: true}
+		return c, core.Options{Policy: core.PolicyDynamic, Vet: true}
 	}
 }
 

@@ -105,10 +105,10 @@ func TestStaticPolicyGoldenSuite(t *testing.T) {
 }
 
 // TestNewPolicySuiteIdentity extends the §11 fast-forwarding contract
-// to the new schedulers: streamgraph and pipeline runs must also be
-// byte-identical with fast-forwarding off, and must still verify.
+// to the pipeline scheduler: its runs must also be byte-identical with
+// fast-forwarding off, and must still verify.
 func TestNewPolicySuiteIdentity(t *testing.T) {
-	for _, policy := range []core.Policy{core.PolicyStreamGraph, core.PolicyPipeline} {
+	for _, policy := range []core.Policy{core.PolicyPipeline} {
 		for _, name := range []string{"spmv", "sort", "join", "kmeans"} {
 			nb := workload.ByName(name)
 			if nb == nil {

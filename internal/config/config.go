@@ -84,35 +84,6 @@ type TaskHW struct {
 	DisablePrefetch bool
 }
 
-// Sched parameterizes the pluggable dispatch policies (DESIGN.md §17)
-// beyond the boolean mechanism toggles in TaskHW. Like every other
-// config field the block participates in Canonical(), so runs under
-// different scheduler tunings never share a cached result.
-type Sched struct {
-	// RebalanceTasks is the temporal re-balancing cadence of the
-	// streaming task-graph policy: the spatial per-type lane partition
-	// is re-examined after this many task completions and rebuilt when
-	// load skew exceeds SkewPct. Non-positive disables re-balancing
-	// (the partition set at phase start persists).
-	RebalanceTasks int
-	// SkewPct is the streamgraph re-balance trigger: rebuild only when
-	// the most loaded lane's outstanding work exceeds the least
-	// loaded's by more than this percentage of the mean lane load.
-	SkewPct int
-	// PipelineWindow bounds how many queued tasks the pipeline policy
-	// scans for a formable forward group before falling back to
-	// head-of-queue dispatch. Must be at least 1 (1 = head only).
-	PipelineWindow int
-	// HopToll is the pipeline policy's NoC locality price, in work-hint
-	// units per mesh hop: each producer lane choice adds
-	// HopToll x hops-to-consumer to the lane's outstanding-work cost,
-	// trading load balance for shorter forwarded streams. Zero ignores
-	// placement — the reference default, since on the 8-lane mesh load
-	// balance dominates and any toll loses more to queue imbalance than
-	// it recovers in hop latency; the knob targets larger meshes.
-	HopToll int64
-}
-
 // Config is a complete machine description.
 type Config struct {
 	// Lanes is the number of compute lanes.
@@ -122,7 +93,6 @@ type Config struct {
 	DRAM   DRAM
 	NoC    NoC
 	Task   TaskHW
-	Sched  Sched
 }
 
 // Default8 returns the reference 8-lane Delta configuration used by the
@@ -155,12 +125,6 @@ func Default8() Config {
 			EnableWorkAwareLB:    true,
 			EnableMulticast:      true,
 			EnableForwarding:     true,
-		},
-		Sched: Sched{
-			RebalanceTasks: 64,
-			SkewPct:        25,
-			PipelineWindow: 32,
-			HopToll:        0,
 		},
 	}
 }
@@ -220,14 +184,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: Task.DispatchPerCycle must be positive, got %d", c.Task.DispatchPerCycle)
 	case c.Task.CoalesceWindowCycles < 0:
 		return fmt.Errorf("config: Task.CoalesceWindowCycles must be non-negative, got %d", c.Task.CoalesceWindowCycles)
-	case c.Sched.RebalanceTasks < 0:
-		return fmt.Errorf("config: Sched.RebalanceTasks must be non-negative, got %d", c.Sched.RebalanceTasks)
-	case c.Sched.SkewPct < 0:
-		return fmt.Errorf("config: Sched.SkewPct must be non-negative, got %d", c.Sched.SkewPct)
-	case c.Sched.PipelineWindow <= 0:
-		return fmt.Errorf("config: Sched.PipelineWindow must be positive, got %d", c.Sched.PipelineWindow)
-	case c.Sched.HopToll < 0:
-		return fmt.Errorf("config: Sched.HopToll must be non-negative, got %d", c.Sched.HopToll)
 	}
 	return nil
 }

@@ -66,10 +66,6 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"taskq", func(c *Config) { c.Task.QueueDepth = 0 }, "Task.QueueDepth"},
 		{"dispatch", func(c *Config) { c.Task.DispatchPerCycle = 0 }, "DispatchPerCycle"},
 		{"window", func(c *Config) { c.Task.CoalesceWindowCycles = -1 }, "CoalesceWindow"},
-		{"rebalance", func(c *Config) { c.Sched.RebalanceTasks = -1 }, "RebalanceTasks"},
-		{"skewpct", func(c *Config) { c.Sched.SkewPct = -1 }, "SkewPct"},
-		{"pipewindow", func(c *Config) { c.Sched.PipelineWindow = 0 }, "PipelineWindow"},
-		{"hoptoll", func(c *Config) { c.Sched.HopToll = -1 }, "HopToll"},
 	}
 	for _, tc := range cases {
 		c := Default8()

@@ -5,7 +5,6 @@ import (
 
 	"taskstream/internal/obs"
 	"taskstream/internal/sim"
-	"taskstream/internal/trace"
 )
 
 // HintMode controls the fidelity of work hints (experiment E12).
@@ -120,8 +119,8 @@ func (c *coordinator) AllDone() bool {
 
 // NextEvent reports when the coordinator can next act: at control-pipe
 // maturity (completions, spawns), at the multicast manager's next
-// deadline, at the scheduler's own next deadline, or immediately when
-// the current phase has pending tasks and some lane has queue space.
+// deadline, or immediately when the current phase has pending tasks
+// and some lane has queue space.
 // Pending tasks with every lane queue full contribute no event:
 // dispatch (including forward-group formation, which also needs free
 // lanes) cannot progress until a lane drains, and lanes with queued
@@ -141,11 +140,6 @@ func (c *coordinator) NextEvent(now sim.Cycle) sim.Cycle {
 	} else if mc < ev {
 		ev = mc
 	}
-	if sv := c.sched.NextEvent(now); sv <= now {
-		return now
-	} else if sv < ev {
-		ev = sv
-	}
 	if c.pendingCount[c.phase] > 0 {
 		for i := 0; i < c.m.cfg.Lanes; i++ {
 			if c.m.lanes[i].QueueSpace() > 0 {
@@ -158,14 +152,11 @@ func (c *coordinator) NextEvent(now sim.Cycle) sim.Cycle {
 
 // Skip replays the barrier-wait accounting of skipped cycles — every
 // cycle with an empty current-phase queue but active tasks records one
-// wait (the first dispatchOne call of that cycle's Tick would have) —
-// and forwards the range to the scheduler for its own per-cycle
-// accounting.
+// wait (the first dispatchOne call of that cycle's Tick would have).
 func (c *coordinator) Skip(from, to sim.Cycle) {
 	if c.pendingCount[c.phase] == 0 && c.activeCount[c.phase] > 0 {
 		c.BarrierWaits += int64(to - from)
 	}
-	c.sched.Skip(from, to)
 }
 
 // Tick drains control pipes, advances phases, runs the multicast
@@ -181,7 +172,6 @@ func (c *coordinator) Tick(now sim.Cycle) {
 		if c.activeCount[ev.phase] < 0 {
 			panic("core: completion underflow")
 		}
-		c.sched.TaskCompleted(&c.state, ev.lane, ev.hint)
 	}
 	for {
 		t, ok := c.spawnsPipe.Recv(now)
@@ -372,11 +362,6 @@ func (c *coordinator) send(r *resolved, lane int) {
 	c.laneWork[lane] += r.hint
 	c.activeCount[r.task.Phase]++
 	c.Dispatched++
-	c.m.opts.Trace.Record(trace.Event{
-		Cycle: int64(c.m.now), Kind: trace.Dispatch, Lane: lane,
-		TaskKey: r.task.Key, TypeName: c.m.prog.Types[r.typeID].Name,
-		Phase: r.task.Phase,
-	})
 }
 
 // laneBusy returns the per-lane busy-cycle vector for reporting.

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"taskstream/internal/obs"
 	"taskstream/internal/stats"
-	"taskstream/internal/trace"
 )
 
 func TestOptionsCacheKeyNormalization(t *testing.T) {
@@ -15,15 +15,15 @@ func TestOptionsCacheKeyNormalization(t *testing.T) {
 	}
 
 	traced := base
-	traced.Trace = trace.New(8)
+	traced.Obs = obs.New(8)
 	if traced.Cacheable() {
-		t.Fatal("traced options must not be cacheable")
+		t.Fatal("observed options must not be cacheable")
 	}
 	if traced.CacheKey() != base.CacheKey() {
-		t.Error("trace recorder reached the cache key")
+		t.Error("obs sink reached the cache key")
 	}
-	if traced.Normalized().Trace != nil {
-		t.Error("Normalized kept the trace recorder")
+	if traced.Normalized().Obs != nil {
+		t.Error("Normalized kept the obs sink")
 	}
 
 	neg := base
@@ -50,8 +50,15 @@ func TestOptionsCacheKeyNormalization(t *testing.T) {
 			t.Errorf("perturbing %s did not change CacheKey()", name)
 		}
 	}
-	if !strings.Contains(base.CacheKey(), "Policy=") {
-		t.Errorf("CacheKey %q not in canonical field=value form", base.CacheKey())
+	// The policy is keyed by name, so renumbering the enum can never
+	// alias a stored result.
+	if !strings.HasPrefix(base.CacheKey(), "Policy=dynamic;") {
+		t.Errorf("CacheKey %q does not key the policy by name", base.CacheKey())
+	}
+	pipe := base
+	pipe.Policy = PolicyPipeline
+	if !strings.HasPrefix(pipe.CacheKey(), "Policy=pipeline;") {
+		t.Errorf("CacheKey %q does not key the policy by name", pipe.CacheKey())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"taskstream/internal/obs"
 	"taskstream/internal/sim"
 	"taskstream/internal/stream"
-	"taskstream/internal/trace"
 )
 
 // laneState is the task-execution FSM state of a lane.
@@ -168,6 +167,14 @@ func (l *Lane) obsEmit(end sim.Cycle) {
 	}
 }
 
+// taskEvent emits a lifecycle event for task r on this lane.
+func (l *Lane) taskEvent(now sim.Cycle, kind obs.Kind, r *resolved) {
+	if s := l.m.opts.Obs; s != nil {
+		s.Emit(obs.Event{Cycle: int64(now), Kind: kind, Comp: int32(l.id),
+			A: int64(r.task.Key), B: int64(r.task.Phase), Name: l.m.prog.Types[r.typeID].Name})
+	}
+}
+
 // obsFlush closes the lane's final state span when the run ends.
 func (l *Lane) obsFlush(end sim.Cycle) {
 	l.obsEmit(end)
@@ -246,11 +253,7 @@ func (l *Lane) startTask(now sim.Cycle) {
 	if r.startGate != nil {
 		*r.startGate = true // unblock paired producers' forwarding
 	}
-	l.m.opts.Trace.Record(trace.Event{
-		Cycle: int64(now), Kind: trace.Start, Lane: l.id,
-		TaskKey: r.task.Key, TypeName: l.m.prog.Types[r.typeID].Name,
-		Phase: r.task.Phase,
-	})
+	l.taskEvent(now, obs.KindTaskStart, r)
 	if r.typeID != l.curType {
 		l.ConfigStalls++
 		l.state = laneConfig
@@ -291,11 +294,7 @@ func (l *Lane) run(now sim.Cycle) {
 	// Completion: all firings issued, pipeline drained, streams done.
 	if l.firing == r.firings && l.prod.Empty() && l.spawnPipe.Empty() && l.eng.Done() {
 		l.m.coord.complete(completeEvt{lane: l.id, phase: r.task.Phase, hint: r.hint})
-		l.m.opts.Trace.Record(trace.Event{
-			Cycle: int64(now), Kind: trace.Complete, Lane: l.id,
-			TaskKey: r.task.Key, TypeName: l.m.prog.Types[r.typeID].Name,
-			Phase: r.task.Phase,
-		})
+		l.taskEvent(now, obs.KindTaskComplete, r)
 		l.TasksRun++
 		l.cur = nil
 		l.state = laneIdle

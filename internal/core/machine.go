@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"taskstream/internal/config"
 	"taskstream/internal/fabric"
@@ -13,7 +12,6 @@ import (
 	"taskstream/internal/sim"
 	"taskstream/internal/stats"
 	"taskstream/internal/stream"
-	"taskstream/internal/trace"
 )
 
 // Options select the execution model variant for a run.
@@ -24,15 +22,14 @@ type Options struct {
 	Hints HintMode
 	// MaxCycles overrides the safety limit (0 = default).
 	MaxCycles sim.Cycle
-	// Trace, when non-nil, records task lifecycle events.
-	Trace *trace.Recorder
 	// Obs, when non-nil, receives the machine-wide observability event
-	// stream (package obs): dispatch decisions, lane state spans with
-	// stall attribution, stream-engine spans, multicast table activity,
-	// NoC hop and DRAM channel occupancy. Attaching a sink disables
-	// event-horizon fast-forwarding for the run so attribution is
-	// observed per cycle rather than synthesized — a switch the §11
-	// byte-identity contract guarantees changes no cycle count or stat.
+	// stream (package obs): dispatch decisions, task starts and
+	// completions, lane state spans with stall attribution,
+	// stream-engine spans, multicast table activity, NoC hop and DRAM
+	// channel occupancy. Attaching a sink disables event-horizon
+	// fast-forwarding for the run so attribution is observed per cycle
+	// rather than synthesized — a switch the §11 byte-identity contract
+	// guarantees changes no cycle count or stat.
 	Obs *obs.Sink
 	// Vet runs the registered whole-program static verifier (see
 	// RegisterVetter; internal/analysis provides it) before the machine
@@ -40,9 +37,7 @@ type Options struct {
 	Vet bool
 	// DisableFastForward forces cycle-by-cycle execution. Fast-forward
 	// is on by default and byte-identical to it (DESIGN.md §11); this
-	// switch exists for the equality tests and for debugging. The
-	// TASKSTREAM_NO_FASTFORWARD environment variable disables it
-	// machine-wide for whole-binary A/B comparison.
+	// switch exists for the equality tests and for debugging.
 	DisableFastForward bool
 }
 
@@ -93,9 +88,8 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Policy >= NumPolicies {
-		return nil, fmt.Errorf("core: unknown policy %d (valid: %v)",
-			uint8(opts.Policy), PolicyNames())
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -153,8 +147,7 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 	}
 
 	m.engine = sim.NewEngine()
-	m.engine.FastForward = !opts.DisableFastForward && opts.Obs == nil &&
-		os.Getenv("TASKSTREAM_NO_FASTFORWARD") == ""
+	m.engine.FastForward = !opts.DisableFastForward && opts.Obs == nil
 	// Per-ticker micro-skip inside executed cycles: byte-identical by
 	// the Forecaster contract. Off under observation for the same
 	// reason fast-forwarding is — per-cycle attribution (lane state
@@ -191,7 +184,7 @@ func (c clockTicker) NextEvent(now sim.Cycle) sim.Cycle { return sim.Never }
 // cycles [from, to) the last published value would be to-1. This is
 // what lets the forever-quiet clock participate in SkipIdle — its Skip
 // is exactly its Tick — without ever leaving m.now stale for the
-// components that read it (coordinator pipe stamps, trace records).
+// components that read it (coordinator pipe stamps, obs events).
 func (c clockTicker) Skip(from, to sim.Cycle) { c.m.now = to - 1 }
 
 // chanTicker adapts a DRAM channel (its responses are drained by the

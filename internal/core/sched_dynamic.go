@@ -10,8 +10,6 @@ type dynamicSched struct {
 	rr int // round-robin cursor
 }
 
-func (d *dynamicSched) Name() string { return PolicyDynamic.String() }
-
 // Dispatch implements the TaskStream policy. When the head task
 // produces a tagged stream and forwarding is enabled, the coordinator
 // tries to co-dispatch the whole forward group — every still-pending
@@ -101,7 +99,4 @@ func (d *dynamicSched) distinctLanes(s *SchedState, k int) []int {
 	return chosen
 }
 
-func (d *dynamicSched) PhaseStart(s *SchedState, p int)                {}
-func (d *dynamicSched) TaskCompleted(s *SchedState, lane int, h int64) {}
-func (d *dynamicSched) NextEvent(now sim.Cycle) sim.Cycle              { return sim.Never }
-func (d *dynamicSched) Skip(from, to sim.Cycle)                        {}
+func (d *dynamicSched) PhaseStart(s *SchedState, p int) {}

@@ -9,9 +9,9 @@ import (
 // pipelineSched is the Pipeflow-style pipeline scheduler
 // (PolicyPipeline) for forward-chained task types. Two mechanisms:
 //
-//   - Group-first dispatch: it scans up to Sched.PipelineWindow queued
-//     tasks for a formable forward group instead of only trying the
-//     queue head, so producer→consumer pairs co-dispatch even when an
+//   - Group-first dispatch: it scans up to pipelineWindow queued tasks
+//     for a formable forward group instead of only trying the queue
+//     head, so producer→consumer pairs co-dispatch even when an
 //     unrelated task blocks the head — raising forwarding hits over
 //     the dynamic policy on forward-heavy workloads.
 //   - Stage affinity: scalar dispatch prices the fabric
@@ -26,17 +26,19 @@ type pipelineSched struct {
 	pairLanes map[int64][]int
 }
 
+// pipelineWindow bounds how many queued tasks the policy scans for a
+// formable forward group before falling back to head-of-queue
+// dispatch.
+const pipelineWindow = 32
+
 func newPipelineSched() *pipelineSched {
 	return &pipelineSched{pairLanes: make(map[int64][]int)}
 }
 
-func (p *pipelineSched) Name() string { return PolicyPipeline.String() }
-
 func (p *pipelineSched) Dispatch(s *SchedState, now sim.Cycle) bool {
 	q := s.Pending()
-	window := s.Sched().PipelineWindow
 	if s.ForwardingEnabled() {
-		for i := 0; i < len(q) && i < window; i++ {
+		for i := 0; i < len(q) && i < pipelineWindow; i++ {
 			if q[i].ProducesTag() == 0 {
 				continue
 			}
@@ -99,10 +101,8 @@ func (p *pipelineSched) stableLanes(s *SchedState, seedType int, w []int64) []in
 // weightedLanes places a forward group consumer-first: the consumer
 // (last member) anchors on the least-loaded free lane — the whole
 // group streams through it, so it must reach the fabric fast — then
-// the producers, heaviest work hint first, each take the free lane
-// minimizing outstanding work plus a per-hop toll toward the anchor,
-// so the heavy stage gets the emptiest remaining queue and the
-// forwarded stream crosses as little mesh as the load balance allows.
+// the producers, heaviest work hint first, each take the least-loaded
+// remaining free lane, so the heavy stage gets the emptiest queue.
 // The result is aligned to w's member order; ties break toward lower
 // lane ids for determinism.
 func weightedLanes(s *SchedState, w []int64) []int {
@@ -115,26 +115,18 @@ func weightedLanes(s *SchedState, w []int64) []int {
 	sort.SliceStable(rest, func(a, b int) bool { return w[rest[a]] > w[rest[b]] })
 	lanes := make([]int, len(w))
 	taken := make(map[int]bool, len(w))
-	anchor := -1
 	for _, m := range order {
-		best, bestCost := -1, int64(0)
+		best, bestWork := -1, int64(0)
 		for i, n := 0, s.NumLanes(); i < n; i++ {
 			if taken[i] || s.QueueFree(i) == 0 {
 				continue
 			}
-			cost := s.LaneWork(i)
-			if anchor >= 0 {
-				cost += int64(s.LaneDistance(i, anchor)) * s.Sched().HopToll
-			}
-			if best < 0 || cost < bestCost {
-				best, bestCost = i, cost
+			if best < 0 || s.LaneWork(i) < bestWork {
+				best, bestWork = i, s.LaneWork(i)
 			}
 		}
 		if best < 0 {
 			return nil
-		}
-		if anchor < 0 {
-			anchor = best
 		}
 		taken[best] = true
 		lanes[m] = best
@@ -144,7 +136,4 @@ func weightedLanes(s *SchedState, w []int64) []int {
 
 // PhaseStart keeps the pair-lane memory: stage stability across phases
 // is the point — a merge stage re-entered next phase reuses its lanes.
-func (p *pipelineSched) PhaseStart(s *SchedState, ph int)               {}
-func (p *pipelineSched) TaskCompleted(s *SchedState, lane int, h int64) {}
-func (p *pipelineSched) NextEvent(now sim.Cycle) sim.Cycle              { return sim.Never }
-func (p *pipelineSched) Skip(from, to sim.Cycle)                        {}
+func (p *pipelineSched) PhaseStart(s *SchedState, ph int) {}

@@ -14,8 +14,6 @@ type staticSched struct {
 	assigned []int
 }
 
-func (st *staticSched) Name() string { return PolicyStatic.String() }
-
 func (st *staticSched) Dispatch(s *SchedState, now sim.Cycle) bool {
 	q := s.Pending()
 	if st.assigned == nil {
@@ -44,7 +42,3 @@ func (st *staticSched) Dispatch(s *SchedState, now sim.Cycle) bool {
 // PhaseStart drops the previous phase's partition; the next dispatch
 // attempt rebuilds it over the new phase's queue.
 func (st *staticSched) PhaseStart(s *SchedState, p int) { st.assigned = nil }
-
-func (st *staticSched) TaskCompleted(s *SchedState, lane int, h int64) {}
-func (st *staticSched) NextEvent(now sim.Cycle) sim.Cycle              { return sim.Never }
-func (st *staticSched) Skip(from, to sim.Cycle)                        {}

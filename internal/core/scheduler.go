@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
-	"taskstream/internal/config"
 	"taskstream/internal/sim"
 )
 
@@ -23,11 +21,6 @@ const (
 	// block-partitioned over lanes before each phase begins and strict
 	// phase barriers apply.
 	PolicyStatic
-	// PolicyStreamGraph is the De Matteis-style streaming task-graph
-	// scheduler: lanes are spatially partitioned among task types in
-	// proportion to their pending work, with temporal re-balancing when
-	// observed lane load skews past the configured threshold.
-	PolicyStreamGraph
 	// PolicyPipeline is the Pipeflow-style pipeline scheduler:
 	// stage-affine dispatch that prices fabric reconfiguration into the
 	// lane choice and keeps repeated producer→consumer forward groups
@@ -39,7 +32,7 @@ const (
 )
 
 // policyNames holds the canonical CLI/wire spelling of each policy.
-var policyNames = [NumPolicies]string{"dynamic", "static", "streamgraph", "pipeline"}
+var policyNames = [NumPolicies]string{"dynamic", "static", "pipeline"}
 
 // String returns the policy's canonical name.
 func (p Policy) String() string {
@@ -67,25 +60,10 @@ func ParsePolicy(name string) (Policy, error) {
 		name, strings.Join(policyNames[:], ", "))
 }
 
-// AmbientPolicy resolves the process-wide default dispatch policy for
-// the dynamic-dispatch baseline variants: TASKSTREAM_POLICY names one
-// of the registered policies (delta-bench -policy sets it); unset or
-// unparseable values mean PolicyDynamic. The resolved policy lands in
-// Options.Policy and so in every spec's cache key — distinct policies
-// never share cache entries.
-func AmbientPolicy() Policy {
-	if v := os.Getenv("TASKSTREAM_POLICY"); v != "" {
-		if p, err := ParsePolicy(v); err == nil {
-			return p
-		}
-	}
-	return PolicyDynamic
-}
-
 // Scheduler is the pluggable dispatch policy behind the coordinator
 // (DESIGN.md §17). The coordinator owns everything every policy
 // shares — phase queues and barriers, control pipes, the outstanding-
-// work load model, forward-group formation, obs/trace emission — and
+// work load model, forward-group formation, obs emission — and
 // delegates only the decisions: which pending task goes to which lane,
 // and when to form a forward group.
 //
@@ -97,14 +75,10 @@ func AmbientPolicy() Policy {
 //   - All methods run inside the coordinator's Tick, so policies need
 //     no locking.
 //   - §11 fast-forwarding: policy decisions must be event-driven.
-//     State may change on Dispatch, PhaseStart, and TaskCompleted —
-//     all of which fire identically with fast-forwarding on or off —
-//     never as a function of how often Tick happens to run. A policy
-//     with a genuine time-based deadline must expose it via NextEvent
-//     and replay skipped-cycle accounting in Skip.
+//     State may change only on Dispatch and PhaseStart — both fire
+//     identically with fast-forwarding on or off — never as a function
+//     of how often Tick happens to run.
 type Scheduler interface {
-	// Name returns the policy's canonical name (Policy.String).
-	Name() string
 	// Dispatch attempts to dispatch one task (or forward group) from
 	// the current phase queue, reporting success. The coordinator calls
 	// it up to DispatchPerCycle times per cycle, stopping at the first
@@ -113,19 +87,6 @@ type Scheduler interface {
 	// PhaseStart announces that the coordinator advanced to phase p;
 	// per-phase policy state (partitions, assignments) resets here.
 	PhaseStart(s *SchedState, p int)
-	// TaskCompleted announces one task completion on lane, after the
-	// load model dropped its hint — the event-driven trigger for
-	// temporal re-balancing.
-	TaskCompleted(s *SchedState, lane int, hint int64)
-	// NextEvent contributes the policy's next self-scheduled deadline
-	// to the coordinator's forecast (sim.Never if none). The
-	// coordinator already wakes for control-pipe maturities and
-	// dispatch opportunities; only genuinely time-based policy logic
-	// needs this.
-	NextEvent(now sim.Cycle) sim.Cycle
-	// Skip replays any per-cycle policy accounting for the skipped
-	// range [from, to) (§11). Policies without per-cycle state no-op.
-	Skip(from, to sim.Cycle)
 }
 
 // newScheduler constructs the policy's scheduler. NewMachine validates
@@ -136,8 +97,6 @@ func newScheduler(p Policy) (Scheduler, error) {
 		return &dynamicSched{}, nil
 	case PolicyStatic:
 		return &staticSched{}, nil
-	case PolicyStreamGraph:
-		return &streamGraphSched{}, nil
 	case PolicyPipeline:
 		return newPipelineSched(), nil
 	default:
@@ -159,12 +118,6 @@ type SchedState struct {
 
 // NumLanes returns the lane count.
 func (s *SchedState) NumLanes() int { return s.c.m.cfg.Lanes }
-
-// NumTypes returns the number of task types in the program.
-func (s *SchedState) NumTypes() int { return len(s.c.m.prog.Types) }
-
-// Phase returns the current phase index.
-func (s *SchedState) Phase() int { return s.c.phase }
 
 // Pending returns the current phase's undispatched task FIFO. The
 // slice is the coordinator's live queue: read-only for policies, and
@@ -190,9 +143,6 @@ func (s *SchedState) WorkAware() bool { return s.c.m.cfg.Task.EnableWorkAwareLB 
 // ForwardingEnabled reports whether forward-group formation is on.
 func (s *SchedState) ForwardingEnabled() bool { return s.c.m.cfg.Task.EnableForwarding }
 
-// Sched returns the policy-tuning config block.
-func (s *SchedState) Sched() config.Sched { return s.c.m.cfg.Sched }
-
 // ConfigPenalty returns a fabric reconfiguration stall expressed in
 // work-hint units: ConfigCycles at the fabric's full per-port pump
 // rate. Affinity-aware policies price a type switch into the lane
@@ -202,22 +152,9 @@ func (s *SchedState) ConfigPenalty() int64 {
 	return int64(f.ConfigCycles) * int64(f.PortWidth)
 }
 
-// Hint returns the task's effective work hint under the run's
-// configured hint fidelity (E12) — the same estimate the load model
-// books on dispatch.
-func (s *SchedState) Hint(t *Task) int64 { return s.c.m.effectiveHint(t) }
-
-// LaneDistance returns the NoC Manhattan hop distance between two
-// lanes' mesh nodes. Forwarded streams pay per-hop latency and flit
-// occupancy, so placement policies use this to keep producer→consumer
-// pairs close.
-func (s *SchedState) LaneDistance(a, b int) int {
-	return s.c.m.mesh.Dist(s.c.m.lanes[a].node, s.c.m.lanes[b].node)
-}
-
 // Dispatch pops the idx-th task of the current phase queue and sends
-// it to lane, booking the load model, obs dispatch event, and trace
-// record. The lane must have queue space.
+// it to lane, booking the load model and obs dispatch event. The lane
+// must have queue space.
 func (s *SchedState) Dispatch(idx, lane int) {
 	c := s.c
 	t := c.pending[c.phase][idx]

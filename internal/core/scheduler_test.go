@@ -1,20 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"taskstream/internal/mem"
 )
 
-// newPolicyMachine builds an idle machine running the given policy with
-// nt task types, for direct unit testing of scheduler internals.
-func newPolicyMachine(t *testing.T, lanes, nt int, p Policy) *Machine {
+// newPolicyMachine builds an idle machine running the given policy,
+// for direct unit testing of scheduler internals.
+func newPolicyMachine(t *testing.T, lanes int, p Policy) *Machine {
 	t.Helper()
-	types := make([]*TaskType, nt)
-	for i := range types {
-		types[i] = copyType()
-	}
-	prog := &Program{Name: "idle", Types: types, NumPhases: 1}
+	prog := &Program{Name: "idle", Types: []*TaskType{copyType()}, NumPhases: 1}
 	m, err := NewMachine(testConfig(lanes), prog, mem.NewStorage(), Options{Policy: p})
 	if err != nil {
 		t.Fatal(err)
@@ -40,16 +37,21 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSchedulerNamesMatchPolicies pins every registered scheduler's
-// Name to its policy's canonical string.
+// TestSchedulerNamesMatchPolicies pins that every policy name builds
+// the scheduler it names.
 func TestSchedulerNamesMatchPolicies(t *testing.T) {
+	want := map[string]string{
+		"dynamic":  "*core.dynamicSched",
+		"static":   "*core.staticSched",
+		"pipeline": "*core.pipelineSched",
+	}
 	for p := Policy(0); p < NumPolicies; p++ {
 		sched, err := newScheduler(p)
 		if err != nil {
 			t.Fatalf("newScheduler(%v): %v", p, err)
 		}
-		if sched.Name() != p.String() {
-			t.Fatalf("scheduler for %v names itself %q", p, sched.Name())
+		if got := fmt.Sprintf("%T", sched); got != want[p.String()] {
+			t.Fatalf("policy %v builds %s, want %s", p, got, want[p.String()])
 		}
 	}
 	if _, err := newScheduler(NumPolicies); err == nil {
@@ -62,7 +64,7 @@ func TestSchedulerNamesMatchPolicies(t *testing.T) {
 // lane, the heaviest producer takes the next-least-loaded, and the
 // result stays aligned to member order.
 func TestWeightedLanesPlacement(t *testing.T) {
-	m := newPolicyMachine(t, 4, 1, PolicyPipeline)
+	m := newPolicyMachine(t, 4, PolicyPipeline)
 	s := &m.coord.state
 	m.coord.laneWork[0] = 400
 	m.coord.laneWork[1] = 300
@@ -88,93 +90,9 @@ func TestWeightedLanesPlacement(t *testing.T) {
 // TestWeightedLanesRefusesWhenFull reports nil when fewer free lanes
 // exist than group members.
 func TestWeightedLanesRefusesWhenFull(t *testing.T) {
-	m := newPolicyMachine(t, 2, 1, PolicyPipeline)
+	m := newPolicyMachine(t, 2, PolicyPipeline)
 	s := &m.coord.state
 	if lanes := weightedLanes(s, []int64{1, 2, 3}); lanes != nil {
 		t.Fatalf("got %v for a 3-member group on 2 lanes, want nil", lanes)
-	}
-}
-
-// TestWeightedLanesHopToll verifies the NoC locality price: with a
-// dominant toll, the producer picks the free lane closest to the
-// anchor over an emptier but distant one.
-func TestWeightedLanesHopToll(t *testing.T) {
-	cfg := testConfig(8)
-	cfg.Sched.HopToll = 1 << 20
-	prog := &Program{Name: "idle", Types: []*TaskType{copyType()}, NumPhases: 1}
-	m, err := NewMachine(cfg, prog, mem.NewStorage(), Options{Policy: PolicyPipeline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &m.coord.state
-	// Lane 0 anchors (least loaded). Every other lane carries equal
-	// work, so only distance to the anchor separates them.
-	for i := 1; i < 8; i++ {
-		m.coord.laneWork[i] = 1000
-	}
-	lanes := weightedLanes(s, []int64{1, 1})
-	if lanes[1] != 0 {
-		t.Fatalf("consumer on lane %d, want 0", lanes[1])
-	}
-	want, wantDist := -1, 0
-	for i := 1; i < 8; i++ {
-		d := s.LaneDistance(i, 0)
-		if want < 0 || d < wantDist {
-			want, wantDist = i, d
-		}
-	}
-	if lanes[0] != want {
-		t.Fatalf("producer on lane %d (dist %d), want %d (dist %d)",
-			lanes[0], s.LaneDistance(lanes[0], 0), want, wantDist)
-	}
-}
-
-// TestStreamGraphApportionment pins the spatial partition: per-type
-// lane regions proportional to pending work by largest remainder, at
-// least one lane per active type, contiguous blocks in type order.
-func TestStreamGraphApportionment(t *testing.T) {
-	m := newPolicyMachine(t, 8, 3, PolicyStreamGraph)
-	g, ok := m.coord.sched.(*streamGraphSched)
-	if !ok {
-		t.Fatalf("scheduler is %T, want *streamGraphSched", m.coord.sched)
-	}
-	s := &m.coord.state
-	// Pending work 600/200/200 over 8 lanes → regions of 4/2/2.
-	add := func(typ int, hint int64, n int) {
-		for i := 0; i < n; i++ {
-			m.coord.pending[0] = append(m.coord.pending[0], Task{Type: typ, WorkHint: hint})
-		}
-	}
-	add(0, 100, 6)
-	add(1, 100, 2)
-	add(2, 100, 2)
-	g.rebuild(s)
-	want := [][]int{{0, 1, 2, 3}, {4, 5}, {6, 7}}
-	for typ, region := range want {
-		if len(g.regions[typ]) != len(region) {
-			t.Fatalf("type %d region %v, want %v", typ, g.regions[typ], region)
-		}
-		for i, l := range region {
-			if g.regions[typ][i] != l {
-				t.Fatalf("type %d region %v, want %v", typ, g.regions[typ], region)
-			}
-		}
-	}
-}
-
-// TestStreamGraphMoreTypesThanLanes shares lanes round-robin when the
-// active type count exceeds the lane count.
-func TestStreamGraphMoreTypesThanLanes(t *testing.T) {
-	m := newPolicyMachine(t, 2, 3, PolicyStreamGraph)
-	g := m.coord.sched.(*streamGraphSched)
-	s := &m.coord.state
-	for typ := 0; typ < 3; typ++ {
-		m.coord.pending[0] = append(m.coord.pending[0], Task{Type: typ, WorkHint: 10})
-	}
-	g.rebuild(s)
-	for typ, wantLane := range []int{0, 1, 0} {
-		if len(g.regions[typ]) != 1 || g.regions[typ][0] != wantLane {
-			t.Fatalf("type %d region %v, want [%d]", typ, g.regions[typ], wantLane)
-		}
 	}
 }

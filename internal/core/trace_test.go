@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"taskstream/internal/mem"
-	"taskstream/internal/trace"
+	"taskstream/internal/obs"
 )
 
 func TestTraceIntegration(t *testing.T) {
 	st := mem.NewStorage()
 	prog := skewedProgram(t, st)
-	rec := trace.New(0)
-	m, err := NewMachine(testConfig(4), prog, st, Options{Trace: rec})
+	sink := obs.New(0)
+	m, err := NewMachine(testConfig(4), prog, st, Options{Obs: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +20,20 @@ func TestTraceIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every task contributes exactly three events.
-	want := int(rep.Stats.Get("tasks_run")) * 3
-	if rec.Len() != want {
-		t.Fatalf("trace has %d events, want %d", rec.Len(), want)
+	// Every task contributes exactly one dispatch, start and complete.
+	counts := map[obs.Kind]int64{}
+	for _, ev := range sink.Events() {
+		counts[ev.Kind]++
 	}
-	spans := rec.Spans()
-	if len(spans) != int(rep.Stats.Get("tasks_run")) {
-		t.Fatalf("spans = %d, want %d", len(spans), rep.Stats.Get("tasks_run"))
+	tasks := rep.Stats.Get("tasks_run")
+	for _, k := range []obs.Kind{obs.KindDispatch, obs.KindTaskStart, obs.KindTaskComplete} {
+		if counts[k] != tasks {
+			t.Fatalf("%s events = %d, want %d", k, counts[k], tasks)
+		}
+	}
+	spans := sink.Spans()
+	if len(spans) != int(tasks) {
+		t.Fatalf("spans = %d, want %d", len(spans), tasks)
 	}
 	for _, sp := range spans {
 		if sp.Started < sp.Dispatched || sp.Completed <= sp.Started {
@@ -40,7 +46,7 @@ func TestTraceIntegration(t *testing.T) {
 			t.Fatalf("unexpected type %q", sp.TypeName)
 		}
 	}
-	tl := rec.Timeline(4, 60)
+	tl := sink.Timeline(4, 60)
 	if !strings.Contains(tl, "A = addk") {
 		t.Fatalf("timeline legend missing:\n%s", tl)
 	}
@@ -54,6 +60,6 @@ func TestTraceOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := m.Run(); err != nil {
-		t.Fatal(err) // nil recorder must be harmless end to end
+		t.Fatal(err) // nil sink must be harmless end to end
 	}
 }

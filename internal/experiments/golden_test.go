@@ -56,7 +56,7 @@ func TestRunCacheOnOffEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes a suite subset")
 	}
-	regs := subset(Registry(), "E7", "E11", "E12")
+	regs := subset(Registry(), "E7", "E9", "E11", "E12")
 	cached := renderAll(t, regs)
 	wasDisabled := runplan.Shared.Disabled()
 	runplan.Shared.SetDisabled(true)

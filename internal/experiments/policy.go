@@ -27,11 +27,9 @@ func e16Policies() []core.Policy {
 }
 
 // e16Specs declares one spec per (workload, policy) with the full delta
-// mechanism set, pinning each policy explicitly in Options rather than
-// through core.AmbientPolicy — delta-bench -policy must shift the
-// baseline experiments, never this ablation's columns. With no ambient
-// override the dynamic column's specs are identical to the suite
-// pairs' delta specs, so they dedup through the run cache.
+// mechanism set, each policy set explicitly in Options. The dynamic
+// column's specs are identical to the suite pairs' delta specs, so
+// they dedup through the run cache.
 func e16Specs(nbs []workload.NamedBuilder, cfg config.Config) []runplan.Spec {
 	mcfg, opts := baseline.Delta.Configure(cfg)
 	policies := e16Policies()
@@ -48,7 +46,7 @@ func e16Specs(nbs []workload.NamedBuilder, cfg config.Config) []runplan.Spec {
 
 // E16Policies is the dispatch-policy ablation the scheduler interface
 // (DESIGN.md §17) exists to ask: every policy across the full suite on
-// the identical delta machine, plus a skew sensitivity sweep. All four
+// the identical delta machine, plus a skew sensitivity sweep. All three
 // schedulers see the same mechanisms (work-aware LB flag, multicast,
 // forwarding); only the dispatch decisions differ, so the cycle deltas
 // isolate scheduling.
@@ -64,9 +62,9 @@ func E16Policies() (Result, error) {
 	}
 
 	cyc := newTable("E16: dispatch-policy ablation (delta mechanisms, cycles)",
-		"workload", "dynamic", "static", "streamgraph", "pipeline")
+		"workload", "dynamic", "static", "pipeline")
 	spd := newTable("E16: speedup over dynamic (work-aware least-loaded)",
-		"workload", "static", "streamgraph", "pipeline")
+		"workload", "static", "pipeline")
 	metrics := map[string]float64{}
 	spups := make([][]float64, np) // per policy, per workload
 	bestNew := 0.0
@@ -83,10 +81,8 @@ func E16Policies() (Result, error) {
 			if p != core.PolicyDynamic {
 				spdRow = append(spdRow, stats.Fx(sp))
 			}
-			if p == core.PolicyStreamGraph || p == core.PolicyPipeline {
-				if sp > bestNew {
-					bestNew = sp
-				}
+			if p == core.PolicyPipeline && sp > bestNew {
+				bestNew = sp
 			}
 		}
 		cyc.row(cycRow...)
@@ -140,7 +136,7 @@ func e16SkewTable(cfg config.Config, metrics map[string]float64) (*table, error)
 		return nil, err
 	}
 	tb := newTable("E16: skew sensitivity — spmv alpha sweep (cycles)",
-		"alpha", "dynamic", "static", "streamgraph", "pipeline")
+		"alpha", "dynamic", "static", "pipeline")
 	for i, centi := range E16SkewAlphas {
 		row := []string{fmt.Sprintf("%.2f", float64(centi)/100)}
 		base := reps[i*np+int(core.PolicyDynamic)]

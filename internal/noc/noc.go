@@ -181,23 +181,6 @@ func (m *Mesh) SetObs(s *obs.Sink) {
 // Nodes returns the node count.
 func (m *Mesh) Nodes() int { return m.nodes }
 
-// Dist returns the Manhattan hop distance between two nodes — the
-// mesh's own layout metric, exported so placement policies (forward
-// groups, schedulers) can price traffic locality without duplicating
-// the row-major coordinate mapping.
-func (m *Mesh) Dist(a, b int) int {
-	ax, ay := m.coord(a)
-	bx, by := m.coord(b)
-	dx, dy := ax-bx, ay-by
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx + dy
-}
-
 func (m *Mesh) coord(n int) (x, y int) { return n % m.cols, n / m.cols }
 
 // neighbor returns the node in direction d from n, or -1 at the edge or

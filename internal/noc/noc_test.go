@@ -351,27 +351,3 @@ func TestOccupancyCountersMatchQueues(t *testing.T) {
 	}
 	check(5001)
 }
-
-// TestDistManhattan pins Dist to row-major Manhattan hop counts: a 3x3
-// mesh places node ids left-to-right, top-to-bottom, so opposite
-// corners are 4 hops apart and Dist is symmetric with zero diagonal.
-func TestDistManhattan(t *testing.T) {
-	m := NewMesh(cfg(), 9) // 3x3
-	cases := []struct{ a, b, want int }{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 3, 1},
-		{0, 4, 2},
-		{0, 8, 4},
-		{2, 6, 4},
-		{1, 7, 2},
-	}
-	for _, c := range cases {
-		if got := m.Dist(c.a, c.b); got != c.want {
-			t.Errorf("Dist(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-		if got := m.Dist(c.b, c.a); got != c.want {
-			t.Errorf("Dist(%d,%d) = %d, want %d (symmetry)", c.b, c.a, got, c.want)
-		}
-	}
-}

@@ -195,6 +195,12 @@ func convert(ev Event) chromeEvent {
 			Pid: pidDRAM, Tid: int(ev.Comp), Cat: "dram",
 			Args: map[string]any{"line": fmt.Sprintf("%#x", ev.A)},
 		}
+	case KindTaskStart, KindTaskComplete:
+		return chromeEvent{
+			Name: ev.Kind.String() + " " + ev.Name, Ph: "i", Ts: ev.Cycle,
+			Pid: pidLanes, Tid: int(ev.Comp), Cat: "task", S: "t",
+			Args: map[string]any{"key": uint64(ev.A), "phase": ev.B},
+		}
 	default:
 		return chromeEvent{
 			Name: ev.Kind.String(), Ph: "i", Ts: ev.Cycle,

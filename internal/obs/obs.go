@@ -1,13 +1,16 @@
 // Package obs is the machine-wide observability layer: a generalized
 // cycle-stamped event stream every hardware model emits into, a
 // per-component metrics registry folding those events into utilization
-// and stall-breakdown counters, and exporters (Chrome trace-event /
-// Perfetto JSON, per-lane stall-attribution text) over the collected
-// stream.
+// and stall-breakdown counters, per-task residency spans, and
+// exporters (Chrome trace-event / Perfetto JSON, per-lane
+// stall-attribution text, per-lane occupancy timelines) over the
+// collected stream.
 //
-// The emission pattern mirrors trace.Recorder: a *Sink travels through
-// the machine, every emit site calls Emit unconditionally, and a nil
-// sink makes the call a single predictable branch. Observation is
+// A *Sink travels through the machine, every emit site calls Emit
+// unconditionally, and a nil sink makes the call a single predictable
+// branch. The sink folds task dispatch, start and completion events
+// into per-task residency spans as they arrive (Spans, Timeline), so
+// the spans, like the metrics, survive the buffer limit. Observation is
 // strictly passive — emitting events never alters simulation behavior —
 // and the machine disables event-horizon fast-forwarding while a sink
 // is attached so per-cycle attribution is observed rather than
@@ -60,6 +63,13 @@ const (
 	// [Cycle, Cycle+Dur). Comp is the channel, A the line address, B
 	// 1 for a write.
 	KindDRAM
+	// KindTaskStart is a lane beginning the next task from its queue.
+	// Comp is the lane, A the task key, B the task's phase, Name the
+	// task type.
+	KindTaskStart
+	// KindTaskComplete is a lane finishing its task (streams drained).
+	// Fields as for KindTaskStart.
+	KindTaskComplete
 	// NumKinds counts the event kinds.
 	NumKinds
 )
@@ -85,6 +95,10 @@ func (k Kind) String() string {
 		return "noc-hop"
 	case KindDRAM:
 		return "dram"
+	case KindTaskStart:
+		return "task-start"
+	case KindTaskComplete:
+		return "task-complete"
 	default:
 		return "unknown"
 	}
@@ -173,15 +187,15 @@ type Event struct {
 	Name string
 }
 
-// Sink accumulates events and folds them into metrics as they arrive.
-// A nil *Sink ignores all emissions at the cost of one branch — the
-// same contract trace.Recorder established — so every hardware model
-// emits unconditionally.
+// Sink accumulates events and folds them into metrics and task spans
+// as they arrive. A nil *Sink ignores all emissions at the cost of one
+// branch, so every hardware model emits unconditionally.
 type Sink struct {
 	events  []Event
 	limit   int
 	dropped int64
 	metrics Metrics
+	tasks   taskFold
 
 	// Topology metadata the exporters need to label tracks; the
 	// machine fills these while wiring the sink through its models.
@@ -191,8 +205,8 @@ type Sink struct {
 }
 
 // New returns a sink bounded to limit buffered events (0 = unbounded).
-// Metrics keep folding past the limit; only the raw event buffer stops
-// growing, with the overflow counted in Dropped.
+// Metrics and task spans keep folding past the limit; only the raw
+// event buffer stops growing, with the overflow counted in Dropped.
 func New(limit int) *Sink {
 	return &Sink{limit: limit, metrics: newMetrics()}
 }
@@ -203,6 +217,10 @@ func (s *Sink) Emit(ev Event) {
 		return
 	}
 	s.metrics.fold(ev)
+	switch ev.Kind {
+	case KindDispatch, KindTaskStart, KindTaskComplete:
+		s.tasks.fold(ev)
+	}
 	if s.limit > 0 && len(s.events) >= s.limit {
 		s.dropped++
 		return

@@ -10,7 +10,7 @@ import (
 func TestNilSinkSafe(t *testing.T) {
 	var s *Sink
 	s.Emit(Event{Kind: KindDispatch})
-	if s.Len() != 0 || s.Dropped() != 0 || s.Events() != nil {
+	if s.Len() != 0 || s.Dropped() != 0 || s.Events() != nil || s.Spans() != nil {
 		t.Fatal("nil sink must observe nothing")
 	}
 	if s.Metrics() == nil {
@@ -37,6 +37,60 @@ func TestSinkLimitDropsEventsNotMetrics(t *testing.T) {
 	}
 	if s.Metrics().Dispatches != 5 {
 		t.Fatalf("Dispatches = %d, want 5 (metrics must survive drops)", s.Metrics().Dispatches)
+	}
+}
+
+// TestNilSinkLifecycleSafe pins that a nil sink stays inert under the
+// task lifecycle stream lanes emit: no buffered events and no spans.
+func TestNilSinkLifecycleSafe(t *testing.T) {
+	var s *Sink
+	s.Emit(Event{Cycle: 1, Kind: KindDispatch, Comp: 0, Name: "copy"})
+	s.Emit(Event{Cycle: 2, Kind: KindTaskStart, Comp: 0, A: 9, Name: "copy"})
+	s.Emit(Event{Cycle: 3, Kind: KindTaskComplete, Comp: 0, A: 9, Name: "copy"})
+	if s.Len() != 0 || s.Events() != nil || s.Spans() != nil {
+		t.Fatal("nil sink must be inert")
+	}
+}
+
+// TestLimit pins the buffer bound for lifecycle events: a limited sink
+// holds exactly its limit, and a zero limit holds everything.
+func TestLimit(t *testing.T) {
+	limited, unbounded := New(2), New(0)
+	for _, s := range []*Sink{limited, unbounded} {
+		for i := 0; i < 10; i++ {
+			kind := KindTaskStart
+			if i%2 == 1 {
+				kind = KindTaskComplete
+			}
+			s.Emit(Event{Cycle: int64(i), Kind: kind, A: int64(i / 2)})
+		}
+	}
+	if limited.Len() != 2 {
+		t.Fatalf("limited sink holds %d, want 2", limited.Len())
+	}
+	if unbounded.Len() != 10 || unbounded.Dropped() != 0 {
+		t.Fatalf("unbounded sink holds %d (dropped %d), want 10 (0)", unbounded.Len(), unbounded.Dropped())
+	}
+}
+
+// TestEmitAndEvents pins that Events returns the buffered stream in
+// emission order.
+func TestEmitAndEvents(t *testing.T) {
+	s := New(0)
+	s.Emit(Event{Cycle: 5, Kind: KindDispatch, Comp: 1, Name: "copy"})
+	s.Emit(Event{Cycle: 7, Kind: KindTaskStart, Comp: 1, A: 9, Name: "copy"})
+	s.Emit(Event{Cycle: 20, Kind: KindTaskComplete, Comp: 1, A: 9, Name: "copy"})
+	evs := s.Events()
+	if s.Len() != 3 || len(evs) != 3 {
+		t.Fatalf("Len = %d, Events = %d, want 3", s.Len(), len(evs))
+	}
+	for i, want := range []Kind{KindDispatch, KindTaskStart, KindTaskComplete} {
+		if evs[i].Kind != want {
+			t.Fatalf("event %d is %s, want %s", i, evs[i].Kind, want)
+		}
+	}
+	if KindTaskStart.String() != "task-start" || KindTaskComplete.String() != "task-complete" {
+		t.Fatal("lifecycle kind names wrong")
 	}
 }
 

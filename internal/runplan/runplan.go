@@ -19,7 +19,6 @@ package runplan
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,8 +58,8 @@ func (s Spec) Key() string {
 	return s.Workload.Name + "|" + s.Config.Canonical() + "|" + s.Opts.CacheKey()
 }
 
-// Cacheable reports whether the spec may be memoized; traced runs
-// (Opts.Trace != nil) have an observable side channel and always
+// Cacheable reports whether the spec may be memoized; observed runs
+// (Opts.Obs != nil) have an observable side channel and always
 // execute fresh.
 func (s Spec) Cacheable() bool { return s.Opts.Cacheable() }
 
@@ -174,16 +173,6 @@ type flight struct {
 	err  error
 }
 
-// Tri-state cache switch: until SetDisabled pins a value, Disabled
-// consults the TASKSTREAM_NO_RUNCACHE environment variable on every
-// call, so flipping it after program start (tests, daemon config
-// reload) takes effect immediately.
-const (
-	followEnv int32 = iota // honor TASKSTREAM_NO_RUNCACHE per call
-	forcedOn               // SetDisabled(false): memoize regardless of env
-	forcedOff              // SetDisabled(true): bypass regardless of env
-)
-
 // Runner executes specs, memoizing by content address. The zero value
 // is not usable; call NewRunner. Safe for concurrent use.
 type Runner struct {
@@ -193,7 +182,7 @@ type Runner struct {
 	storeMu sync.RWMutex
 	store   Store
 
-	disabled atomic.Int32 // followEnv | forcedOn | forcedOff
+	disabled atomic.Bool
 
 	// Tier counters are hostobs primitives so one atomic serves both
 	// Counters() snapshots and a /metrics scrape (InstrumentHost adopts
@@ -211,11 +200,7 @@ type Runner struct {
 	lat [5]*hostobs.Histogram
 }
 
-// NewRunner returns an empty runner. Until SetDisabled pins a state,
-// the cache is disabled exactly while TASKSTREAM_NO_RUNCACHE is set in
-// the environment — the whole-binary A/B switch the CI byte-identity
-// job flips — re-checked on every Run, not snapshotted at
-// construction.
+// NewRunner returns an empty, memoizing runner.
 func NewRunner() *Runner {
 	r := &Runner{flights: make(map[string]*flight)}
 	for i := range r.lat {
@@ -270,28 +255,12 @@ func (r *Runner) InstrumentHost(reg *hostobs.Registry) {
 var Shared = NewRunner()
 
 // SetDisabled turns memoization off (every Run executes fresh) or back
-// on, overriding TASKSTREAM_NO_RUNCACHE from then on.
-// Already-cached results are kept and served again once re-enabled.
-func (r *Runner) SetDisabled(v bool) {
-	if v {
-		r.disabled.Store(forcedOff)
-	} else {
-		r.disabled.Store(forcedOn)
-	}
-}
+// on. Already-cached results are kept and served again once
+// re-enabled.
+func (r *Runner) SetDisabled(v bool) { r.disabled.Store(v) }
 
-// Disabled reports whether memoization is off: the last SetDisabled
-// value if one was ever pinned, the live TASKSTREAM_NO_RUNCACHE
-// environment state otherwise.
-func (r *Runner) Disabled() bool {
-	switch r.disabled.Load() {
-	case forcedOn:
-		return false
-	case forcedOff:
-		return true
-	}
-	return os.Getenv("TASKSTREAM_NO_RUNCACHE") != ""
-}
+// Disabled reports whether memoization is off.
+func (r *Runner) Disabled() bool { return r.disabled.Load() }
 
 // SetStore installs (or, with nil, removes) the second-level store
 // consulted on in-memory misses and filled on successful executions.

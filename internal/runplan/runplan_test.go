@@ -12,7 +12,7 @@ import (
 	"taskstream/internal/config"
 	"taskstream/internal/core"
 	"taskstream/internal/hostobs"
-	"taskstream/internal/trace"
+	"taskstream/internal/obs"
 	"taskstream/internal/workload"
 )
 
@@ -53,15 +53,15 @@ func TestSpecKeyIdentity(t *testing.T) {
 func TestSpecKeyIgnoresTrace(t *testing.T) {
 	a := histSpec()
 	b := histSpec()
-	b.Opts.Trace = trace.New(0)
+	b.Opts.Obs = obs.New(0)
 	if a.Key() != b.Key() {
-		t.Error("trace recorder leaked into the cache key")
+		t.Error("obs sink leaked into the cache key")
 	}
 	if a.Cacheable() == false {
-		t.Error("untraced spec should be cacheable")
+		t.Error("unobserved spec should be cacheable")
 	}
 	if b.Cacheable() {
-		t.Error("traced spec must not be cacheable")
+		t.Error("observed spec must not be cacheable")
 	}
 }
 
@@ -143,7 +143,7 @@ func TestRunnerDisabledAndTraceBypass(t *testing.T) {
 
 	r.SetDisabled(false)
 	s := histSpec()
-	s.Opts.Trace = trace.New(0)
+	s.Opts.Obs = obs.New(0)
 	if _, err := r.Run(s); err != nil {
 		t.Fatal(err)
 	}
@@ -275,41 +275,6 @@ func TestRunnerPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestRunnerHonorsEnvAtRunTime pins the env-snapshot fix: flipping
-// TASKSTREAM_NO_RUNCACHE after the runner was constructed must take
-// effect on the next Run (the documented whole-binary contract), not
-// be silently ignored because NewRunner read it once.
-func TestRunnerHonorsEnvAtRunTime(t *testing.T) {
-	t.Setenv("TASKSTREAM_NO_RUNCACHE", "")
-	r := NewRunner() // constructed while the cache is enabled
-	t.Setenv("TASKSTREAM_NO_RUNCACHE", "1")
-	if !r.Disabled() {
-		t.Fatal("env set after NewRunner was ignored")
-	}
-	if _, err := r.Run(histSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if c := r.Counters(); c.Bypasses != 1 || c.Misses != 0 {
-		t.Fatalf("counters with env disable = %+v, want 1 bypass", c)
-	}
-	t.Setenv("TASKSTREAM_NO_RUNCACHE", "")
-	if r.Disabled() {
-		t.Fatal("env cleared after NewRunner was ignored")
-	}
-	if _, err := r.Run(histSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if c := r.Counters(); c.Misses != 1 {
-		t.Fatalf("counters after env re-enable = %+v, want 1 miss", c)
-	}
-	// An explicit SetDisabled pins the state over the environment.
-	t.Setenv("TASKSTREAM_NO_RUNCACHE", "1")
-	r.SetDisabled(false)
-	if r.Disabled() {
-		t.Fatal("SetDisabled(false) did not override the environment")
-	}
-}
-
 // fakeStore is an in-memory Store for hook tests.
 type fakeStore struct {
 	mu    sync.Mutex
@@ -417,7 +382,7 @@ func TestInstrumentHostReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := histSpec()
-	traced.Opts.Trace = trace.New(0)
+	traced.Opts.Obs = obs.New(0)
 	if _, _, err := r.RunInfo(traced); err != nil { // bypass
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // reduced to its canonical name (rebuilt on the far side via
 // workload.Resolve — the spec-identity contract says the name
 // determines the builder), the full machine config, and the
-// normalized options. Trace recorders and observability sinks cannot
-// cross the wire; a spec carrying one is not cacheable and must be
-// executed locally instead of serialized.
+// normalized options. Observability sinks cannot cross the wire; a
+// spec carrying one is not cacheable and must be executed locally
+// instead of serialized.
 type WireSpec struct {
 	Workload string        `json:"workload"`
 	Config   config.Config `json:"config"`
@@ -27,8 +27,7 @@ type WireSpec struct {
 // the spec's content address. The policy crosses the wire by its
 // canonical name rather than its enum value, so the protocol stays
 // readable and unknown policies fail with a client-attributable error;
-// an empty name means "the daemon's default policy" (delta-serve
-// -policy, dynamic unless overridden).
+// an empty name means dynamic.
 type WireOptions struct {
 	Policy             string `json:"policy,omitempty"`
 	Hints              uint8  `json:"hints"`
@@ -38,12 +37,11 @@ type WireOptions struct {
 }
 
 // Wire converts the spec to its serialized form. Uncacheable specs
-// (live trace recorder or obs sink) are rejected: their side channels
-// cannot cross a process boundary, so sending one would silently
-// change its meaning.
+// (live obs sink) are rejected: the side channel cannot cross a
+// process boundary, so sending one would silently change its meaning.
 func (s Spec) Wire() (WireSpec, error) {
 	if !s.Cacheable() {
-		return WireSpec{}, fmt.Errorf("runplan: spec %s is not cacheable (attached trace/obs side channel) and cannot cross the wire", s.Workload.Name)
+		return WireSpec{}, fmt.Errorf("runplan: spec %s is not cacheable (attached obs side channel) and cannot cross the wire", s.Workload.Name)
 	}
 	n := s.Opts.Normalized()
 	return WireSpec{
@@ -60,10 +58,10 @@ func (s Spec) Wire() (WireSpec, error) {
 }
 
 // Spec rebuilds the runnable spec: the workload name resolves to its
-// builder, the policy name parses, and the config is validated before
-// anything executes, so a malformed wire spec fails fast with a
-// client-attributable error. An empty policy name means PolicyDynamic;
-// daemons with a different default rewrite it before calling Spec.
+// builder, the policy name parses, and the config and options are
+// validated before anything executes, so a malformed wire spec fails
+// fast with a client-attributable error. An empty policy name means
+// PolicyDynamic.
 func (w WireSpec) Spec() (Spec, error) {
 	nb, err := workload.Resolve(w.Workload)
 	if err != nil {
@@ -78,15 +76,15 @@ func (w WireSpec) Spec() (Spec, error) {
 	if err := w.Config.Validate(); err != nil {
 		return Spec{}, err
 	}
-	return Spec{
-		Workload: nb,
-		Config:   w.Config,
-		Opts: core.Options{
-			Policy:             policy,
-			Hints:              core.HintMode(w.Opts.Hints),
-			MaxCycles:          sim.Cycle(w.Opts.MaxCycles),
-			Vet:                w.Opts.Vet,
-			DisableFastForward: w.Opts.DisableFastForward,
-		},
-	}, nil
+	opts := core.Options{
+		Policy:             policy,
+		Hints:              core.HintMode(w.Opts.Hints),
+		MaxCycles:          sim.Cycle(w.Opts.MaxCycles),
+		Vet:                w.Opts.Vet,
+		DisableFastForward: w.Opts.DisableFastForward,
+	}
+	if err := opts.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return Spec{Workload: nb, Config: w.Config, Opts: opts}, nil
 }

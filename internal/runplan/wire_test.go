@@ -7,8 +7,8 @@ import (
 	"taskstream/internal/baseline"
 	"taskstream/internal/config"
 	"taskstream/internal/core"
+	"taskstream/internal/obs"
 	"taskstream/internal/runplan"
-	"taskstream/internal/trace"
 	"taskstream/internal/workload"
 
 	// Extends the workload name grammar with "+inferred", which E15's
@@ -72,9 +72,9 @@ func TestWireRoundTripParameterizedNames(t *testing.T) {
 
 func TestWireRejectsUncacheable(t *testing.T) {
 	s := runplan.ForVariant(*workload.ByName("hist"), baseline.Delta, config.Default8())
-	s.Opts.Trace = trace.New(0)
+	s.Opts.Obs = obs.New(0)
 	if _, err := s.Wire(); err == nil {
-		t.Fatal("traced spec crossed the wire")
+		t.Fatal("observed spec crossed the wire")
 	}
 }
 
@@ -92,6 +92,11 @@ func TestWireSpecRejectsBadInputs(t *testing.T) {
 	bad.Config.Lanes = 0
 	if _, err := bad.Spec(); err == nil {
 		t.Error("invalid config accepted")
+	}
+	bad = good
+	bad.Opts.Hints = 200
+	if _, err := bad.Spec(); err == nil {
+		t.Error("unknown hint mode accepted")
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Host profiling (DESIGN.md §18): a process-wide meter of engine runs —
@@ -11,19 +10,19 @@ import (
 // and the wall time spent inside Run — so a harness can report where
 // simulated time was ticked and where it was skipped.
 //
-// Profiling is strictly feedback-free: it reads the host clock around
-// Run and copies the engine's own cycle meters, never touching
-// simulated state, so results are byte-identical with it on or off
-// (pinned by TestHostProfIdentity and the host-metrics CI cmp job).
+// The meter is always on and strictly feedback-free: it reads the host
+// clock around Run and copies the engine's own cycle meters, never
+// touching simulated state (pinned by TestHostProfIdentity). It costs
+// two clock reads and one mutex per run; a -hostprof flag only chooses
+// whether a CLI prints it.
 
-// HostProf is a run meter. Engines record one per run when profiling
-// is enabled and merge it into the process-wide aggregate that
-// HostProfSnapshot reads.
+// HostProf is a run meter. Every engine run records one and merges it
+// into the process-wide aggregate that HostProfSnapshot reads.
 type HostProf struct {
 	// Runs counts completed engine runs.
 	Runs int64
 	// ExecutedCycles and SkippedCycles mirror the engine's fast-forward
-	// meters, summed over profiled runs.
+	// meters, summed over runs.
 	ExecutedCycles int64
 	SkippedCycles  int64
 	// TotalNS is wall time inside Engine.Run.
@@ -44,18 +43,12 @@ func (p *HostProf) Report() string {
 		p.Runs, float64(p.TotalNS)/1e6, p.ExecutedCycles, p.SkippedCycles)
 }
 
-// Process-wide profiling switch and aggregate. Engines check the
-// switch once per Run; the aggregate is mutex-folded at run end, never
-// on the cycle path.
+// Process-wide aggregate, mutex-folded at run end, never on the cycle
+// path.
 var (
-	hostProfOn  atomic.Bool
 	hostProfMu  sync.Mutex
 	hostProfAgg HostProf
 )
-
-// SetHostProf turns host profiling on or off process-wide. Runs
-// already in flight keep the setting they started with.
-func SetHostProf(on bool) { hostProfOn.Store(on) }
 
 // ResetHostProf clears the process-wide aggregate.
 func ResetHostProf() {

@@ -56,50 +56,49 @@ func buildToy(nLanes int, ff bool) (*Engine, []*toyLane, *[]string) {
 	return e, lanes, log
 }
 
-// TestHostProfIdentity pins the feedback-free contract at the engine
-// level: a profiled run produces exactly the cycle count, per-lane
-// state, and ordered effect log of an unprofiled one, and its meter
+// TestHostProfIdentity pins the meter at the engine level: a run with
+// fast-forwarding on produces exactly the cycle count, per-lane state,
+// and ordered effect log of a cycle-by-cycle one, and each run's meter
 // accounts for every cycle as executed or fast-forwarded.
 func TestHostProfIdentity(t *testing.T) {
-	defer SetHostProf(false)
+	defer ResetHostProf()
+	type result struct {
+		c     Cycle
+		lanes []*toyLane
+		log   []string
+	}
+	var runs []result
 	for _, ff := range []bool{false, true} {
-		run := func() (Cycle, []*toyLane, []string) {
-			e, lanes, log := buildToy(6, ff)
-			c, err := e.Run(nil)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			return c, lanes, append([]string(nil), *log...)
-		}
-		cPlain, lanesPlain, logPlain := run()
-
-		SetHostProf(true)
 		ResetHostProf()
-		cProf, lanesProf, logProf := run()
+		e, lanes, log := buildToy(6, ff)
+		c, err := e.Run(nil)
+		if err != nil {
+			t.Fatalf("ff=%v: run: %v", ff, err)
+		}
 		snap := HostProfSnapshot()
-		SetHostProf(false)
-
-		if cPlain != cProf {
-			t.Fatalf("ff=%v: profiled run cycles %d != plain %d", ff, cProf, cPlain)
-		}
-		if !reflect.DeepEqual(logPlain, logProf) {
-			t.Fatalf("ff=%v: effect logs diverge:\nplain: %v\nprof:  %v", ff, logPlain, logProf)
-		}
-		for i := range lanesPlain {
-			if lanesPlain[i].fired != lanesProf[i].fired || lanesPlain[i].busy != lanesProf[i].busy {
-				t.Fatalf("ff=%v: lane %d state diverges: plain {fired %d busy %d} prof {fired %d busy %d}",
-					ff, i, lanesPlain[i].fired, lanesPlain[i].busy, lanesProf[i].fired, lanesProf[i].busy)
-			}
-		}
 		if snap.Runs != 1 || snap.TotalNS <= 0 {
 			t.Fatalf("ff=%v: snapshot = %+v, want 1 run with wall time", ff, snap)
 		}
-		if got := snap.ExecutedCycles + snap.SkippedCycles; got != int64(cProf) {
+		if got := snap.ExecutedCycles + snap.SkippedCycles; got != int64(c) {
 			t.Fatalf("ff=%v: executed %d + skipped %d = %d, want the run's %d cycles",
-				ff, snap.ExecutedCycles, snap.SkippedCycles, got, cProf)
+				ff, snap.ExecutedCycles, snap.SkippedCycles, got, c)
 		}
 		if ff != (snap.SkippedCycles > 0) {
 			t.Fatalf("ff=%v: skipped cycles = %d", ff, snap.SkippedCycles)
+		}
+		runs = append(runs, result{c, lanes, append([]string(nil), *log...)})
+	}
+	slow, ff := runs[0], runs[1]
+	if slow.c != ff.c {
+		t.Fatalf("fast-forwarded run cycles %d != cycle-by-cycle %d", ff.c, slow.c)
+	}
+	if !reflect.DeepEqual(slow.log, ff.log) {
+		t.Fatalf("effect logs diverge:\nslow: %v\nff:   %v", slow.log, ff.log)
+	}
+	for i := range slow.lanes {
+		if slow.lanes[i].fired != ff.lanes[i].fired || slow.lanes[i].busy != ff.lanes[i].busy {
+			t.Fatalf("lane %d state diverges: slow {fired %d busy %d} ff {fired %d busy %d}",
+				i, slow.lanes[i].fired, slow.lanes[i].busy, ff.lanes[i].fired, ff.lanes[i].busy)
 		}
 	}
 }
@@ -107,8 +106,7 @@ func TestHostProfIdentity(t *testing.T) {
 // TestHostProfSerialEngine checks that successive runs accumulate in
 // the process-wide aggregate until it is reset.
 func TestHostProfSerialEngine(t *testing.T) {
-	SetHostProf(true)
-	defer SetHostProf(false)
+	defer ResetHostProf()
 	ResetHostProf()
 	var cycles int64
 	for i := 0; i < 2; i++ {

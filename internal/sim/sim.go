@@ -252,9 +252,6 @@ func (e *Engine) skipTo(h Cycle) {
 // cycle counts, statistics, and termination are byte-identical to a
 // cycle-by-cycle run.
 func (e *Engine) Run(done func() bool) (Cycle, error) {
-	if !hostProfOn.Load() {
-		return e.run(done)
-	}
 	t0 := time.Now()
 	c, err := e.run(done)
 	mergeHostProf(&HostProf{

@@ -35,7 +35,7 @@ func NewClient(base string) *Client {
 
 // Resolve answers one spec the way runplan.Runner.Run would, but
 // remotely: cacheable specs go to the server, uncacheable ones (live
-// trace/obs side channels cannot cross the wire) execute in-process
+// obs side channels cannot cross the wire) execute in-process
 // through the shared runner. This is the resolver delta-bench installs
 // in -server mode.
 func (c *Client) Resolve(s runplan.Spec) (core.Report, error) {

@@ -160,16 +160,15 @@ func (s *Server) logRequest(ri *reqInfo, method, route string, status int, bytes
 // scrape in-process (tests).
 func (s *Server) Host() *hostobs.Registry { return s.host }
 
-// EnableHostProf turns on sim host profiling process-wide and exports
-// the aggregate run meter as gauges, so a /metrics scrape shows how
-// many simulations ran, how many of their cycles were executed versus
-// fast-forwarded, and the wall time spent inside them.
+// EnableHostProf exports the process-wide sim run meter as gauges, so
+// a /metrics scrape shows how many simulations ran, how many of their
+// cycles were executed versus fast-forwarded, and the wall time spent
+// inside them.
 func (s *Server) EnableHostProf() {
-	sim.SetHostProf(true)
 	snap := func(f func(sim.HostProf) int64) func() int64 {
 		return func() int64 { return f(sim.HostProfSnapshot()) }
 	}
-	s.host.GaugeFunc("sim_hostprof_runs", "Profiled engine runs completed.",
+	s.host.GaugeFunc("sim_hostprof_runs", "Engine runs completed.",
 		snap(func(p sim.HostProf) int64 { return p.Runs }))
 	s.host.GaugeFunc("sim_hostprof_executed_cycles", "Simulated cycles ticked one by one.",
 		snap(func(p sim.HostProf) int64 { return p.ExecutedCycles }))

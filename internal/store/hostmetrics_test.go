@@ -121,10 +121,7 @@ func TestServerMetricsReconcileWithStats(t *testing.T) {
 // one served miss is one metered run whose executed and fast-forwarded
 // cycles add up to the served report's cycle count.
 func TestServerHostProfMetrics(t *testing.T) {
-	t.Cleanup(func() {
-		sim.SetHostProf(false)
-		sim.ResetHostProf()
-	})
+	t.Cleanup(sim.ResetHostProf)
 	sim.ResetHostProf()
 	r := runplan.NewRunner()
 	r.SetDisabled(false)

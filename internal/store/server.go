@@ -29,9 +29,6 @@ type Server struct {
 	disk   *DiskStore
 	sem    chan struct{}
 	mux    *http.ServeMux
-	// defPolicy, when non-empty, fills wire specs that omit a policy
-	// name (delta-serve -policy). It never overrides an explicit one.
-	defPolicy string
 
 	// Host observability (hostmetrics.go): the metrics registry behind
 	// /metrics and /debug/vars, the request id sequence, and the
@@ -72,23 +69,12 @@ func NewServer(runner *runplan.Runner, disk *DiskStore, workers int) *Server {
 // observation middleware (hostmetrics.go).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.observe(w, r) }
 
-// SetDefaultPolicy installs the scheduler policy name applied to wire
-// specs that omit one. The name must already be validated
-// (core.ParsePolicy); specs naming a policy explicitly are unaffected,
-// and the substituted policy enters the spec's cache key as usual, so
-// daemons with different defaults never cross-contaminate a shared
-// store.
-func (s *Server) SetDefaultPolicy(name string) { s.defPolicy = name }
-
 // resolve answers one wire spec through the runner under the worker
 // bound. A waiter that dedups onto an in-flight run parks while
 // holding its slot; the executing flight always holds its own slot
 // and progresses, so the bound cannot deadlock (same argument as the
 // harness budget, DESIGN.md §12).
 func (s *Server) resolve(ws runplan.WireSpec) RunResponse {
-	if ws.Opts.Policy == "" && s.defPolicy != "" {
-		ws.Opts.Policy = s.defPolicy
-	}
 	spec, err := ws.Spec()
 	if err != nil {
 		return RunResponse{Error: err.Error()}

@@ -91,15 +91,63 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 
-	// Raw HTTP status check: unresolvable spec is the client's fault.
-	body, _ := json.Marshal(RunRequest{Spec: runplan.WireSpec{Workload: "nope"}})
-	resp, err := http.Post(c.base+"/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// Raw HTTP status checks: an unresolvable workload, an unknown
+	// policy name and an unknown hint mode are the client's fault.
+	badPolicy := wireSpec(t, histSpec())
+	badPolicy.Opts.Policy = "fifo"
+	badHints := wireSpec(t, histSpec())
+	badHints.Opts.Hints = 200
+	for name, spec := range map[string]runplan.WireSpec{
+		"unresolvable workload": {Workload: "nope"},
+		"unknown policy":        badPolicy,
+		"unknown hint mode":     badHints,
+	} {
+		body, _ := json.Marshal(RunRequest{Spec: spec})
+		resp, err := http.Post(c.base+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s returned HTTP %d, want 400", name, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unresolvable spec returned HTTP %d, want 400", resp.StatusCode)
+}
+
+// TestServerDefaultPolicy pins the daemon's policy contract: a wire
+// spec omitting its policy name resolves as dynamic (and therefore to
+// dynamic's cache key), and a spec naming a policy keeps it.
+func TestServerDefaultPolicy(t *testing.T) {
+	r := runplan.NewRunner()
+	r.SetDisabled(false)
+	srv := NewServer(r, mustOpen(t, t.TempDir(), 0), 4)
+
+	keyFor := func(policy string) string {
+		t.Helper()
+		ws := wireSpec(t, histSpec())
+		ws.Opts.Policy = policy
+		spec, err := ws.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.Key()
+	}
+	if keyFor("dynamic") == keyFor("static") {
+		t.Fatal("dynamic and static specs share a cache key")
+	}
+
+	omitted := wireSpec(t, histSpec())
+	omitted.Opts.Policy = ""
+	if got := srv.resolve(omitted); got.Error != "" || got.Key != keyFor("dynamic") {
+		t.Fatalf("omitted policy resolved to key %s (err %q), want the dynamic key %s",
+			got.Key, got.Error, keyFor("dynamic"))
+	}
+
+	explicit := wireSpec(t, histSpec())
+	explicit.Opts.Policy = "static"
+	if got := srv.resolve(explicit); got.Error != "" || got.Key != keyFor("static") {
+		t.Fatalf("explicit policy was overridden: key %s (err %q), want %s",
+			got.Key, got.Error, keyFor("static"))
 	}
 }
 
@@ -226,56 +274,5 @@ func TestServerWarmFractionContract(t *testing.T) {
 	}
 	if frac := float64(served) / float64(len(specs)); frac < 0.95 {
 		t.Fatalf("warm pass cache-served fraction %.2f < 0.95 (%v)", frac, cachedWarm)
-	}
-}
-
-// TestServerDefaultPolicy pins the delta-serve -policy contract: a wire
-// spec omitting its policy name resolves under the daemon's default
-// (and therefore to that policy's cache key), a spec naming a policy
-// keeps it, and an unknown name is the client's fault — HTTP 400.
-func TestServerDefaultPolicy(t *testing.T) {
-	r := runplan.NewRunner()
-	r.SetDisabled(false)
-	srv := NewServer(r, mustOpen(t, t.TempDir(), 0), 4)
-	srv.SetDefaultPolicy("static")
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
-
-	keyFor := func(policy string) string {
-		t.Helper()
-		ws := wireSpec(t, histSpec())
-		ws.Opts.Policy = policy
-		spec, err := ws.Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return spec.Key()
-	}
-
-	omitted := wireSpec(t, histSpec())
-	omitted.Opts.Policy = ""
-	if got := srv.resolve(omitted); got.Error != "" || got.Key != keyFor("static") {
-		t.Fatalf("omitted policy resolved to key %s (err %q), want the static key %s",
-			got.Key, got.Error, keyFor("static"))
-	}
-
-	explicit := wireSpec(t, histSpec())
-	explicit.Opts.Policy = "dynamic"
-	if got := srv.resolve(explicit); got.Error != "" || got.Key != keyFor("dynamic") {
-		t.Fatalf("explicit policy was overridden: key %s (err %q), want %s",
-			got.Key, got.Error, keyFor("dynamic"))
-	}
-
-	bad := wireSpec(t, histSpec())
-	bad.Opts.Policy = "fifo"
-	body, _ := json.Marshal(RunRequest{Spec: bad})
-	resp, err := http.Post(c.base+"/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown policy returned HTTP %d, want 400", resp.StatusCode)
 	}
 }
