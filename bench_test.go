@@ -136,8 +136,11 @@ func BenchmarkAllExperimentsSerial(b *testing.B)   { benchAll(b, 1) }
 func BenchmarkAllExperimentsParallel(b *testing.B) { benchAll(b, parallel.DefaultWorkers()) }
 
 // Per-workload single-run benches: simulator throughput (wall time per
-// simulated run) for each suite workload under the full Delta model.
-// Useful for profiling the simulator, not for paper claims.
+// simulated run) for each suite workload under the full Delta model,
+// and under Static for the workloads that also run it here. bfs, tri
+// and gemm under both are the coordinator-heavy runs; with -benchmem
+// their B/op and allocs/op repeat exactly, so they A/B the dispatch
+// path. Useful for profiling the simulator, not for paper claims.
 
 func benchWorkload(b *testing.B, name string, v baseline.Variant) {
 	b.Helper()
@@ -211,10 +214,13 @@ func BenchmarkPipePush(b *testing.B) {
 func BenchmarkRunSpMVDelta(b *testing.B)    { benchWorkload(b, "spmv", baseline.Delta) }
 func BenchmarkRunSpMVStatic(b *testing.B)   { benchWorkload(b, "spmv", baseline.Static) }
 func BenchmarkRunBFSDelta(b *testing.B)     { benchWorkload(b, "bfs", baseline.Delta) }
+func BenchmarkRunBFSStatic(b *testing.B)    { benchWorkload(b, "bfs", baseline.Static) }
 func BenchmarkRunJoinDelta(b *testing.B)    { benchWorkload(b, "join", baseline.Delta) }
 func BenchmarkRunTriDelta(b *testing.B)     { benchWorkload(b, "tri", baseline.Delta) }
+func BenchmarkRunTriStatic(b *testing.B)    { benchWorkload(b, "tri", baseline.Static) }
 func BenchmarkRunSortDelta(b *testing.B)    { benchWorkload(b, "sort", baseline.Delta) }
 func BenchmarkRunKMeansDelta(b *testing.B)  { benchWorkload(b, "kmeans", baseline.Delta) }
 func BenchmarkRunGEMMDelta(b *testing.B)    { benchWorkload(b, "gemm", baseline.Delta) }
+func BenchmarkRunGEMMStatic(b *testing.B)   { benchWorkload(b, "gemm", baseline.Static) }
 func BenchmarkRunStencilDelta(b *testing.B) { benchWorkload(b, "stencil", baseline.Delta) }
 func BenchmarkRunHistDelta(b *testing.B)    { benchWorkload(b, "hist", baseline.Delta) }

@@ -146,44 +146,76 @@ func (c Config) StaticModel() Config {
 	return c
 }
 
+// Upper bounds on the fields that size an allocation or a per-cycle
+// loop. sim.NewQueue and fabric.Map allocate eagerly from these values,
+// so without a bound one wire spec (a DRAM.QueueDepth of 2^30, say)
+// makes a simulator entry point, and delta-serve behind it, run out of
+// memory. Each bound sits far above anything the suite, the experiments
+// or the benchmark use — the largest today are E13's queue depth 16,
+// E11's coalesce window 512 and E8's 8 DRAM channels. Building a
+// 64-node machine with every field at its bound allocates 45 MB (63
+// lanes, 1 channel). Lanes and DRAM.Channels are bounded by the mesh
+// size when the machine is built.
+const (
+	// MaxQueueDepth bounds DRAM.QueueDepth, NoC.VCDepth and
+	// Task.QueueDepth.
+	MaxQueueDepth = 1024
+	// MaxSpadBanks bounds Spad.Banks.
+	MaxSpadBanks = 256
+	// MaxFabricDim bounds Fabric.Rows and Fabric.Cols.
+	MaxFabricDim = 64
+	// MaxNumPorts bounds Fabric.NumPorts.
+	MaxNumPorts = 64
+	// MaxPortWidth bounds Fabric.PortWidth.
+	MaxPortWidth = 1024
+	// MaxDispatchPerCycle bounds Task.DispatchPerCycle.
+	MaxDispatchPerCycle = 1024
+	// MaxBytes bounds DRAM.LineBytes, DRAM.BytesPerCycle and
+	// NoC.FlitBytes.
+	MaxBytes = 4096
+	// MaxLatencyCycles bounds Fabric.ConfigCycles, DRAM.LatencyCycles,
+	// NoC.LinkLatency and Task.CoalesceWindowCycles.
+	MaxLatencyCycles = 1 << 16
+)
+
 // Validate reports the first structural problem with the configuration,
 // or nil. Every simulator entry point validates before building.
 func (c Config) Validate() error {
 	switch {
 	case c.Lanes <= 0:
 		return fmt.Errorf("config: Lanes must be positive, got %d", c.Lanes)
-	case c.Fabric.Rows <= 0 || c.Fabric.Cols <= 0:
-		return fmt.Errorf("config: fabric grid %dx%d invalid", c.Fabric.Rows, c.Fabric.Cols)
-	case c.Fabric.PortWidth <= 0:
-		return fmt.Errorf("config: PortWidth must be positive, got %d", c.Fabric.PortWidth)
-	case c.Fabric.NumPorts <= 0:
-		return fmt.Errorf("config: NumPorts must be positive, got %d", c.Fabric.NumPorts)
-	case c.Fabric.ConfigCycles < 0:
-		return fmt.Errorf("config: ConfigCycles must be non-negative, got %d", c.Fabric.ConfigCycles)
-	case c.Spad.Bytes <= 0 || c.Spad.Banks <= 0:
-		return fmt.Errorf("config: scratchpad %dB/%d banks invalid", c.Spad.Bytes, c.Spad.Banks)
+	case c.Fabric.Rows <= 0 || c.Fabric.Cols <= 0 || c.Fabric.Rows > MaxFabricDim || c.Fabric.Cols > MaxFabricDim:
+		return fmt.Errorf("config: fabric grid %dx%d invalid (each side 1..%d)", c.Fabric.Rows, c.Fabric.Cols, MaxFabricDim)
+	case c.Fabric.PortWidth <= 0 || c.Fabric.PortWidth > MaxPortWidth:
+		return fmt.Errorf("config: PortWidth must be in 1..%d, got %d", MaxPortWidth, c.Fabric.PortWidth)
+	case c.Fabric.NumPorts <= 0 || c.Fabric.NumPorts > MaxNumPorts:
+		return fmt.Errorf("config: NumPorts must be in 1..%d, got %d", MaxNumPorts, c.Fabric.NumPorts)
+	case c.Fabric.ConfigCycles < 0 || c.Fabric.ConfigCycles > MaxLatencyCycles:
+		return fmt.Errorf("config: ConfigCycles must be in 0..%d, got %d", MaxLatencyCycles, c.Fabric.ConfigCycles)
+	case c.Spad.Bytes <= 0 || c.Spad.Banks <= 0 || c.Spad.Banks > MaxSpadBanks:
+		return fmt.Errorf("config: scratchpad %dB/%d banks invalid (banks 1..%d)", c.Spad.Bytes, c.Spad.Banks, MaxSpadBanks)
 	case c.DRAM.Channels <= 0:
 		return fmt.Errorf("config: DRAM.Channels must be positive, got %d", c.DRAM.Channels)
-	case c.DRAM.LatencyCycles <= 0:
-		return fmt.Errorf("config: DRAM.LatencyCycles must be positive, got %d", c.DRAM.LatencyCycles)
-	case c.DRAM.BytesPerCycle <= 0:
-		return fmt.Errorf("config: DRAM.BytesPerCycle must be positive, got %d", c.DRAM.BytesPerCycle)
-	case c.DRAM.LineBytes <= 0 || c.DRAM.LineBytes&(c.DRAM.LineBytes-1) != 0:
-		return fmt.Errorf("config: DRAM.LineBytes must be a positive power of two, got %d", c.DRAM.LineBytes)
-	case c.DRAM.QueueDepth <= 0:
-		return fmt.Errorf("config: DRAM.QueueDepth must be positive, got %d", c.DRAM.QueueDepth)
-	case c.NoC.FlitBytes <= 0:
-		return fmt.Errorf("config: NoC.FlitBytes must be positive, got %d", c.NoC.FlitBytes)
-	case c.NoC.LinkLatency < 0:
-		return fmt.Errorf("config: NoC.LinkLatency must be non-negative, got %d", c.NoC.LinkLatency)
-	case c.NoC.VCDepth <= 0:
-		return fmt.Errorf("config: NoC.VCDepth must be positive, got %d", c.NoC.VCDepth)
-	case c.Task.QueueDepth <= 0:
-		return fmt.Errorf("config: Task.QueueDepth must be positive, got %d", c.Task.QueueDepth)
-	case c.Task.DispatchPerCycle <= 0:
-		return fmt.Errorf("config: Task.DispatchPerCycle must be positive, got %d", c.Task.DispatchPerCycle)
-	case c.Task.CoalesceWindowCycles < 0:
-		return fmt.Errorf("config: Task.CoalesceWindowCycles must be non-negative, got %d", c.Task.CoalesceWindowCycles)
+	case c.DRAM.LatencyCycles <= 0 || c.DRAM.LatencyCycles > MaxLatencyCycles:
+		return fmt.Errorf("config: DRAM.LatencyCycles must be in 1..%d, got %d", MaxLatencyCycles, c.DRAM.LatencyCycles)
+	case c.DRAM.BytesPerCycle <= 0 || c.DRAM.BytesPerCycle > MaxBytes:
+		return fmt.Errorf("config: DRAM.BytesPerCycle must be in 1..%d, got %d", MaxBytes, c.DRAM.BytesPerCycle)
+	case c.DRAM.LineBytes <= 0 || c.DRAM.LineBytes&(c.DRAM.LineBytes-1) != 0 || c.DRAM.LineBytes > MaxBytes:
+		return fmt.Errorf("config: DRAM.LineBytes must be a power of two in 1..%d, got %d", MaxBytes, c.DRAM.LineBytes)
+	case c.DRAM.QueueDepth <= 0 || c.DRAM.QueueDepth > MaxQueueDepth:
+		return fmt.Errorf("config: DRAM.QueueDepth must be in 1..%d, got %d", MaxQueueDepth, c.DRAM.QueueDepth)
+	case c.NoC.FlitBytes <= 0 || c.NoC.FlitBytes > MaxBytes:
+		return fmt.Errorf("config: NoC.FlitBytes must be in 1..%d, got %d", MaxBytes, c.NoC.FlitBytes)
+	case c.NoC.LinkLatency < 0 || c.NoC.LinkLatency > MaxLatencyCycles:
+		return fmt.Errorf("config: NoC.LinkLatency must be in 0..%d, got %d", MaxLatencyCycles, c.NoC.LinkLatency)
+	case c.NoC.VCDepth <= 0 || c.NoC.VCDepth > MaxQueueDepth:
+		return fmt.Errorf("config: NoC.VCDepth must be in 1..%d, got %d", MaxQueueDepth, c.NoC.VCDepth)
+	case c.Task.QueueDepth <= 0 || c.Task.QueueDepth > MaxQueueDepth:
+		return fmt.Errorf("config: Task.QueueDepth must be in 1..%d, got %d", MaxQueueDepth, c.Task.QueueDepth)
+	case c.Task.DispatchPerCycle <= 0 || c.Task.DispatchPerCycle > MaxDispatchPerCycle:
+		return fmt.Errorf("config: Task.DispatchPerCycle must be in 1..%d, got %d", MaxDispatchPerCycle, c.Task.DispatchPerCycle)
+	case c.Task.CoalesceWindowCycles < 0 || c.Task.CoalesceWindowCycles > MaxLatencyCycles:
+		return fmt.Errorf("config: Task.CoalesceWindowCycles must be in 0..%d, got %d", MaxLatencyCycles, c.Task.CoalesceWindowCycles)
 	}
 	return nil
 }

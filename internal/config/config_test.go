@@ -66,6 +66,24 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"taskq", func(c *Config) { c.Task.QueueDepth = 0 }, "Task.QueueDepth"},
 		{"dispatch", func(c *Config) { c.Task.DispatchPerCycle = 0 }, "DispatchPerCycle"},
 		{"window", func(c *Config) { c.Task.CoalesceWindowCycles = -1 }, "CoalesceWindow"},
+		// Upper bounds: every field that sizes an allocation or a
+		// per-cycle loop, one past its bound.
+		{"rows-max", func(c *Config) { c.Fabric.Rows = MaxFabricDim + 1 }, "grid"},
+		{"cols-max", func(c *Config) { c.Fabric.Cols = MaxFabricDim + 1 }, "grid"},
+		{"portwidth-max", func(c *Config) { c.Fabric.PortWidth = MaxPortWidth + 1 }, "PortWidth"},
+		{"numports-max", func(c *Config) { c.Fabric.NumPorts = MaxNumPorts + 1 }, "NumPorts"},
+		{"configcycles-max", func(c *Config) { c.Fabric.ConfigCycles = MaxLatencyCycles + 1 }, "ConfigCycles"},
+		{"banks-max", func(c *Config) { c.Spad.Banks = MaxSpadBanks + 1 }, "scratchpad"},
+		{"dramlat-max", func(c *Config) { c.DRAM.LatencyCycles = MaxLatencyCycles + 1 }, "LatencyCycles"},
+		{"drambw-max", func(c *Config) { c.DRAM.BytesPerCycle = MaxBytes + 1 }, "BytesPerCycle"},
+		{"line-max", func(c *Config) { c.DRAM.LineBytes = 2 * MaxBytes }, "LineBytes"},
+		{"dramq-max", func(c *Config) { c.DRAM.QueueDepth = MaxQueueDepth + 1 }, "DRAM.QueueDepth"},
+		{"flit-max", func(c *Config) { c.NoC.FlitBytes = MaxBytes + 1 }, "FlitBytes"},
+		{"linklat-max", func(c *Config) { c.NoC.LinkLatency = MaxLatencyCycles + 1 }, "LinkLatency"},
+		{"vcdepth-max", func(c *Config) { c.NoC.VCDepth = MaxQueueDepth + 1 }, "VCDepth"},
+		{"taskq-max", func(c *Config) { c.Task.QueueDepth = MaxQueueDepth + 1 }, "Task.QueueDepth"},
+		{"dispatch-max", func(c *Config) { c.Task.DispatchPerCycle = MaxDispatchPerCycle + 1 }, "DispatchPerCycle"},
+		{"window-max", func(c *Config) { c.Task.CoalesceWindowCycles = MaxLatencyCycles + 1 }, "CoalesceWindow"},
 	}
 	for _, tc := range cases {
 		c := Default8()
@@ -78,5 +96,23 @@ func TestValidateCatchesEachField(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.frag)
 		}
+	}
+}
+
+// TestValidateAcceptsBounds pins that each bound is inclusive: a
+// config with every bounded field at its bound validates.
+func TestValidateAcceptsBounds(t *testing.T) {
+	c := Default8()
+	c.Fabric.Rows, c.Fabric.Cols = MaxFabricDim, MaxFabricDim
+	c.Fabric.PortWidth, c.Fabric.NumPorts = MaxPortWidth, MaxNumPorts
+	c.Fabric.ConfigCycles = MaxLatencyCycles
+	c.Spad.Banks = MaxSpadBanks
+	c.DRAM.LatencyCycles, c.DRAM.BytesPerCycle, c.DRAM.LineBytes = MaxLatencyCycles, MaxBytes, MaxBytes
+	c.DRAM.QueueDepth = MaxQueueDepth
+	c.NoC.FlitBytes, c.NoC.LinkLatency, c.NoC.VCDepth = MaxBytes, MaxLatencyCycles, MaxQueueDepth
+	c.Task.QueueDepth, c.Task.DispatchPerCycle = MaxQueueDepth, MaxDispatchPerCycle
+	c.Task.CoalesceWindowCycles = MaxLatencyCycles
+	if err := c.Validate(); err != nil {
+		t.Fatalf("config at every bound rejected: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"taskstream/internal/obs"
 	"taskstream/internal/sim"
@@ -33,13 +34,11 @@ type coordinator struct {
 	sched Scheduler
 	state SchedState
 
-	// pending[phase] is the FIFO of undispatched tasks per phase.
-	pending [][]Task
-	// pendingCount counts undispatched tasks per phase; active counts
-	// dispatched-but-incomplete.
-	pendingCount []int
-	activeCount  []int
-	phase        int
+	// pending[phase] is the FIFO of undispatched tasks per phase;
+	// activeCount[phase] counts dispatched-but-incomplete tasks.
+	pending     [][]Task
+	activeCount []int
+	phase       int
 
 	// laneWork is the outstanding work estimate per lane.
 	laneWork []int64
@@ -68,7 +67,6 @@ func newCoordinator(m *Machine, policy Policy) *coordinator {
 		m:              m,
 		sched:          sched,
 		pending:        make([][]Task, m.prog.NumPhases),
-		pendingCount:   make([]int, m.prog.NumPhases),
 		activeCount:    make([]int, m.prog.NumPhases),
 		laneWork:       make([]int64, m.cfg.Lanes),
 		consumersByTag: make(map[uint64]int),
@@ -85,7 +83,6 @@ func newCoordinator(m *Machine, policy Policy) *coordinator {
 // accept registers a task into its phase queue.
 func (c *coordinator) accept(t Task) {
 	c.pending[t.Phase] = append(c.pending[t.Phase], t)
-	c.pendingCount[t.Phase]++
 	if tag := t.ConsumesTag(); tag != 0 {
 		c.consumersByTag[tag] = t.Phase
 	}
@@ -109,8 +106,8 @@ func (c *coordinator) AllDone() bool {
 	if c.spawnInFlight > 0 || !c.completions.Empty() {
 		return false
 	}
-	for p := range c.pendingCount {
-		if c.pendingCount[p] > 0 || c.activeCount[p] > 0 {
+	for p := range c.pending {
+		if len(c.pending[p]) > 0 || c.activeCount[p] > 0 {
 			return false
 		}
 	}
@@ -140,7 +137,7 @@ func (c *coordinator) NextEvent(now sim.Cycle) sim.Cycle {
 	} else if mc < ev {
 		ev = mc
 	}
-	if c.pendingCount[c.phase] > 0 {
+	if len(c.pending[c.phase]) > 0 {
 		for i := 0; i < c.m.cfg.Lanes; i++ {
 			if c.m.lanes[i].QueueSpace() > 0 {
 				return now
@@ -154,7 +151,7 @@ func (c *coordinator) NextEvent(now sim.Cycle) sim.Cycle {
 // cycle with an empty current-phase queue but active tasks records one
 // wait (the first dispatchOne call of that cycle's Tick would have).
 func (c *coordinator) Skip(from, to sim.Cycle) {
-	if c.pendingCount[c.phase] == 0 && c.activeCount[c.phase] > 0 {
+	if len(c.pending[c.phase]) == 0 && c.activeCount[c.phase] > 0 {
 		c.BarrierWaits += int64(to - from)
 	}
 }
@@ -190,7 +187,7 @@ func (c *coordinator) Tick(now sim.Cycle) {
 	// in-flight spawns (they may target the next phase about to open;
 	// the ≤4-cycle conservatism is negligible).
 	for c.phase < len(c.pending)-1 &&
-		c.pendingCount[c.phase] == 0 && c.activeCount[c.phase] == 0 &&
+		len(c.pending[c.phase]) == 0 && c.activeCount[c.phase] == 0 &&
 		c.spawnInFlight == 0 {
 		c.phase++
 		c.sched.PhaseStart(&c.state, c.phase)
@@ -336,10 +333,25 @@ func (c *coordinator) findPending(ph int, pred func(*Task) bool) int {
 	return -1
 }
 
+// removePending drops the i-th task of phase ph's queue in place
+// (DESIGN.md §17): the queue keeps its FIFO order and never
+// reallocates on removal.
 func (c *coordinator) removePending(ph, i int) {
-	q := c.pending[ph]
-	c.pending[ph] = append(q[:i:i], q[i+1:]...)
-	c.pendingCount[ph]--
+	c.pending[ph] = removeAt(c.pending[ph], i)
+}
+
+// removeAt removes q[i], keeping the order of the rest, without
+// allocating. Index 0, the dynamic policy's queue head, zeroes the
+// slot and reslices past it in O(1); any other index shifts the tail
+// down one slot and zeroes the vacated last slot. Zeroing keeps the
+// backing array from pinning a removed element's slices.
+func removeAt[T any](q []T, i int) []T {
+	if i == 0 {
+		var zero T
+		q[0] = zero
+		return q[1:]
+	}
+	return slices.Delete(q, i, i+1)
 }
 
 // send hands a resolved task to a lane and books the accounting.

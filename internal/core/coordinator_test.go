@@ -234,11 +234,11 @@ func TestSpawnControlLatency(t *testing.T) {
 		Ins:  []InArg{{Kind: ArgDRAMLinear, Base: 64, N: 0}},
 		Outs: []OutArg{{Kind: OutDiscard, N: 0}}})
 	m.coord.Tick(100)
-	if m.coord.pendingCount[0]+m.coord.activeCount[0] != 0 {
+	if len(m.coord.pending[0])+m.coord.activeCount[0] != 0 {
 		t.Fatal("spawn visible before control latency elapsed")
 	}
 	m.coord.Tick(100 + ctlLatency)
-	if m.coord.pendingCount[0]+m.coord.activeCount[0] != 1 {
+	if len(m.coord.pending[0])+m.coord.activeCount[0] != 1 {
 		t.Fatal("spawn lost after control latency")
 	}
 	if m.coord.spawnInFlight != 0 {
@@ -254,6 +254,72 @@ func TestAllDoneAccounting(t *testing.T) {
 	m.coord.accept(Task{Type: 0, Phase: 0})
 	if m.coord.AllDone() {
 		t.Fatal("pending task must block completion")
+	}
+}
+
+// TestPendingQueueRemoval pins the phase queue's removal contract
+// (DESIGN.md §17): removing from the head, the middle or the tail
+// keeps the remaining tasks in FIFO order, a head pop reslices past the
+// slot instead of moving the rest, every vacated slot is zeroed, and a
+// remove-then-accept cycle does not allocate.
+func TestPendingQueueRemoval(t *testing.T) {
+	const n = 4096
+	c := newIdleMachine(t, 2).coord
+	want := make([]uint64, 0, n)
+	for i := 0; i < n; i++ {
+		c.accept(Task{Type: 0, Key: uint64(i), Ins: []InArg{{Kind: ArgDRAMLinear, N: 1}}})
+		want = append(want, uint64(i))
+	}
+	remove := func(i int) {
+		t.Helper()
+		old := c.pending[0]
+		c.removePending(0, i)
+		want = append(want[:i], want[i+1:]...)
+		q := c.pending[0]
+		if len(q) != len(want) {
+			t.Fatalf("remove(%d): %d tasks left, want %d", i, len(q), len(want))
+		}
+		for j, k := range want {
+			if q[j].Key != k {
+				t.Fatalf("remove(%d): task %d has key %d, want %d", i, j, q[j].Key, k)
+			}
+		}
+		vacated := len(old) - 1
+		if i == 0 {
+			if &q[0] != &old[1] {
+				t.Fatal("head pop moved the queue instead of reslicing")
+			}
+			vacated = 0
+		}
+		if old[vacated].Ins != nil {
+			t.Fatalf("remove(%d): vacated slot %d still holds its task", i, vacated)
+		}
+	}
+	remove(0)
+	remove(len(want) / 2)
+	remove(len(want) - 1)
+	remove(0)
+	remove(1)
+
+	for _, at := range []struct {
+		name string
+		idx  func() int
+	}{
+		{"middle", func() int { return len(c.pending[0]) / 2 }},
+		{"tail", func() int { return len(c.pending[0]) - 1 }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			i := at.idx()
+			task := c.pending[0][i]
+			c.removePending(0, i)
+			c.accept(task)
+		})
+		if allocs != 0 {
+			t.Errorf("%s remove-then-accept allocated %v times per run, want 0", at.name, allocs)
+		}
+	}
+	if len(c.pending[0]) != len(want) {
+		t.Fatalf("remove-then-accept changed the queue length to %d", len(c.pending[0]))
 	}
 }
 

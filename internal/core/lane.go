@@ -210,7 +210,7 @@ func (l *Lane) classify(now sim.Cycle) (obs.Cause, string) {
 	}
 	if l.queue.Empty() {
 		c := l.m.coord
-		if c.pendingCount[c.phase] == 0 && c.activeCount[c.phase] > 0 {
+		if len(c.pending[c.phase]) == 0 && c.activeCount[c.phase] > 0 {
 			return obs.CauseBarrier, ""
 		}
 	}

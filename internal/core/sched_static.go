@@ -32,7 +32,7 @@ func (st *staticSched) Dispatch(s *SchedState, now sim.Cycle) bool {
 		if s.QueueFree(lane) == 0 {
 			continue
 		}
-		st.assigned = append(st.assigned[:i:i], st.assigned[i+1:]...)
+		st.assigned = removeAt(st.assigned, i)
 		s.Dispatch(i, lane)
 		return true
 	}

@@ -5,8 +5,8 @@ package sim
 // simulator's heap profile.
 //
 // The kernel's own containers (Pipe, Queue, Deque) are already
-// allocation-free in steady state — they recycle ring and heap slots in
-// place — so the slabs exist for the protocol bodies that cross
+// allocation-free in steady state — they recycle ring slots in place —
+// so the slabs exist for the protocol bodies that cross
 // component boundaries inside noc.Message's interface field, where each
 // send would otherwise box a fresh heap object.
 

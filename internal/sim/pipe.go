@@ -2,26 +2,30 @@ package sim
 
 // Pipe models a fixed-latency, unbounded-in-flight delivery channel:
 // items pushed at cycle c become visible to the consumer at cycle
-// c+latency. DRAM responses and wire delays use it. Delivery order for
-// items that mature on the same cycle is insertion order, keeping runs
-// deterministic.
+// c+latency. DRAM and scratchpad responses, NoC link delivery, lane
+// production delays and the coordinator's control network use it.
+// Items are delivered in maturity-cycle order, and items that mature on
+// the same cycle in send order, keeping runs deterministic.
 //
-// The backing store is a hand-rolled binary min-heap rather than
-// container/heap: Push/Pop on the stdlib interface box every item into
-// an `any`, which costs one allocation per send on the simulator's
-// hottest paths (DRAM responses, NoC link delivery). The heap slice is
+// The backing store is a power-of-two ring kept sorted by maturity
+// cycle. A send walks back from the tail only past items that mature
+// strictly later, so equal cycles keep send order without a sequence
+// number, and Recv and NextAt read the head. In every default-config
+// suite run sends arrive in maturity order and the walk takes no
+// steps, so both ends are O(1) there; a send that matures before
+// in-flight items pays one slot move per item it passes. The ring is
 // reused across the run, so a warmed pipe sends and receives without
 // allocating.
 type Pipe[T any] struct {
 	latency Cycle
-	h       []pipeItem[T]
-	seq     int64
+	ring    []pipeItem[T] // length zero or a power of two
+	head    int
+	n       int
 }
 
 type pipeItem[T any] struct {
-	at  Cycle
-	seq int64
-	v   T
+	at Cycle
+	v  T
 }
 
 // NewPipe returns a pipe with the given delivery latency in cycles.
@@ -33,86 +37,66 @@ func NewPipe[T any](latency Cycle) *Pipe[T] {
 	return &Pipe[T]{latency: latency}
 }
 
-// less orders the heap by maturity cycle, then send order.
-func (p *Pipe[T]) less(i, j int) bool {
-	if p.h[i].at != p.h[j].at {
-		return p.h[i].at < p.h[j].at
-	}
-	return p.h[i].seq < p.h[j].seq
-}
-
-func (p *Pipe[T]) push(it pipeItem[T]) {
-	p.h = append(p.h, it)
-	i := len(p.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !p.less(i, parent) {
-			break
-		}
-		p.h[i], p.h[parent] = p.h[parent], p.h[i]
-		i = parent
-	}
-}
-
-func (p *Pipe[T]) pop() pipeItem[T] {
-	top := p.h[0]
-	n := len(p.h) - 1
-	p.h[0] = p.h[n]
-	var zero pipeItem[T]
-	p.h[n] = zero // release references held by pointer-ish payloads
-	p.h = p.h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && p.less(l, small) {
-			small = l
-		}
-		if r < n && p.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		p.h[i], p.h[small] = p.h[small], p.h[i]
-		i = small
-	}
-	return top
-}
-
 // Send schedules v for delivery at now+latency.
-func (p *Pipe[T]) Send(now Cycle, v T) {
-	p.push(pipeItem[T]{at: now + p.latency, seq: p.seq, v: v})
-	p.seq++
-}
+func (p *Pipe[T]) Send(now Cycle, v T) { p.SendAt(now+p.latency, v) }
 
 // SendAt schedules v for delivery at the explicit cycle at, which must
 // not be in the past relative to the caller's now.
 func (p *Pipe[T]) SendAt(at Cycle, v T) {
-	p.push(pipeItem[T]{at: at, seq: p.seq, v: v})
-	p.seq++
+	if p.n == len(p.ring) {
+		p.grow()
+	}
+	mask := len(p.ring) - 1
+	i := p.n
+	for ; i > 0; i-- {
+		prev := &p.ring[(p.head+i-1)&mask]
+		if prev.at <= at {
+			break
+		}
+		p.ring[(p.head+i)&mask] = *prev
+	}
+	p.ring[(p.head+i)&mask] = pipeItem[T]{at: at, v: v}
+	p.n++
+}
+
+// grow doubles the ring (minimum 8), unwrapping the contents to start
+// at slot 0.
+func (p *Pipe[T]) grow() {
+	n := 2 * len(p.ring)
+	if n < 8 {
+		n = 8
+	}
+	ring := make([]pipeItem[T], n)
+	k := copy(ring, p.ring[p.head:])
+	copy(ring[k:], p.ring[:p.head])
+	p.ring, p.head = ring, 0
 }
 
 // Recv pops the oldest item whose delivery time has arrived.
 func (p *Pipe[T]) Recv(now Cycle) (v T, ok bool) {
-	if len(p.h) == 0 || p.h[0].at > now {
+	if p.n == 0 || p.ring[p.head].at > now {
 		return v, false
 	}
-	return p.pop().v, true
+	it := &p.ring[p.head]
+	v = it.v
+	*it = pipeItem[T]{} // release references held by pointer-ish payloads
+	p.head = (p.head + 1) & (len(p.ring) - 1)
+	p.n--
+	return v, true
 }
 
 // NextAt returns the earliest delivery cycle among in-flight items, or
 // Never when the pipe is empty — the pipe's event-horizon contribution
 // for forecasting components.
 func (p *Pipe[T]) NextAt() Cycle {
-	if len(p.h) == 0 {
+	if p.n == 0 {
 		return Never
 	}
-	return p.h[0].at
+	return p.ring[p.head].at
 }
 
 // Len returns the number of in-flight items.
-func (p *Pipe[T]) Len() int { return len(p.h) }
+func (p *Pipe[T]) Len() int { return p.n }
 
 // Empty reports whether nothing is in flight.
-func (p *Pipe[T]) Empty() bool { return len(p.h) == 0 }
+func (p *Pipe[T]) Empty() bool { return p.n == 0 }

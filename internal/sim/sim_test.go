@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -265,6 +267,91 @@ func TestPipeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPipeMatchesStableSort checks the pipe against a reference model:
+// a random interleaving of Send, SendAt and Recv at an advancing now
+// must deliver every item exactly once, never before it matures, and
+// in the order of a stable sort of the sends by maturity cycle. SendAt
+// draws cycles that often mature before the newest in-flight item —
+// what a lane's production or spawn pipe would see if a shorter-latency
+// task type followed a longer one — so sends walk back past later
+// items. Dozens of items stay in flight, so the ring grows while its
+// contents wrap around the end of the slots. The test asserts that
+// both paths ran.
+func TestPipeMatchesStableSort(t *testing.T) {
+	type sent struct {
+		at Cycle
+		id int
+	}
+	var walked, grewWrapped int
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPipe[int](Cycle(rng.Intn(6)))
+		var sends []sent
+		var got []int
+		newest := Cycle(-1) // latest maturity cycle in flight
+		now := Cycle(0)
+		deliver := func() {
+			for {
+				v, ok := p.Recv(now)
+				if !ok {
+					break
+				}
+				if sends[v].at > now {
+					t.Fatalf("seed %d: item %d due at %d delivered at %d", seed, v, sends[v].at, now)
+				}
+				got = append(got, v)
+			}
+			if at := p.NextAt(); at <= now {
+				t.Fatalf("seed %d: item due at %d left undelivered at %d", seed, at, now)
+			}
+		}
+		for step := 0; step < 600; step++ {
+			if p.n == len(p.ring) && p.head != 0 {
+				grewWrapped++ // the next send grows a wrapped ring
+			}
+			r := rng.Intn(10)
+			if r >= 7 {
+				now += Cycle(rng.Intn(4))
+				deliver()
+				continue
+			}
+			at := now + p.latency
+			if r >= 3 {
+				at = now + Cycle(rng.Intn(48))
+			}
+			if at < newest {
+				walked++
+			}
+			newest = max(newest, at)
+			sends = append(sends, sent{at, len(sends)})
+			if r < 3 {
+				p.Send(now, len(sends)-1)
+			} else {
+				p.SendAt(at, len(sends)-1)
+			}
+		}
+		for !p.Empty() {
+			now = p.NextAt()
+			deliver()
+		}
+		want := append([]sent(nil), sends...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: delivered %d of %d items", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i].id {
+				t.Fatalf("seed %d: delivery %d is item %d, want %d (stable sort by maturity)",
+					seed, i, got[i], want[i].id)
+			}
+		}
+	}
+	t.Logf("%d out-of-order sends, %d wrapped grows", walked, grewWrapped)
+	if walked == 0 || grewWrapped == 0 {
+		t.Fatal("coverage: want both counts > 0")
 	}
 }
 

@@ -92,15 +92,22 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 
 	// Raw HTTP status checks: an unresolvable workload, an unknown
-	// policy name and an unknown hint mode are the client's fault.
+	// policy name, an unknown hint mode and a config past its bounds
+	// are the client's fault. The huge DRAM queue is a ~1 KB request
+	// that sim.NewQueue would size eagerly at 24 GiB, killing the
+	// daemon with a fatal out-of-memory no recover can catch, so
+	// config.Validate must refuse it before anything is built.
 	badPolicy := wireSpec(t, histSpec())
 	badPolicy.Opts.Policy = "fifo"
 	badHints := wireSpec(t, histSpec())
 	badHints.Opts.Hints = 200
+	hugeQueue := wireSpec(t, histSpec())
+	hugeQueue.Config.DRAM.QueueDepth = 1 << 30
 	for name, spec := range map[string]runplan.WireSpec{
 		"unresolvable workload": {Workload: "nope"},
 		"unknown policy":        badPolicy,
 		"unknown hint mode":     badHints,
+		"huge DRAM queue":       hugeQueue,
 	} {
 		body, _ := json.Marshal(RunRequest{Spec: spec})
 		resp, err := http.Post(c.base+"/v1/run", "application/json", bytes.NewReader(body))
