@@ -12,7 +12,6 @@
 //	POST /v1/suite  batch → streamed per-spec JSON lines, completion order
 //	GET  /v1/stats  runner counters + store size/accounting
 //	GET  /metrics   Prometheus text exposition (hostobs registry)
-//	GET  /debug/vars JSON snapshot of the same series
 //
 // Usage:
 //

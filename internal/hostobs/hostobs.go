@@ -15,10 +15,9 @@
 // (DESIGN.md §18).
 //
 // Export is deterministic: WritePrometheus renders the Prometheus text
-// exposition format (0.0.4) and WriteJSON a /debug/vars-style JSON
-// snapshot, both in sorted (family, labels) order, so two scrapes of
-// an idle registry are byte-identical and diffs between scrapes are
-// meaningful.
+// exposition format (0.0.4) in sorted (family, labels) order, so two
+// scrapes of an idle registry are byte-identical and diffs between
+// scrapes are meaningful.
 package hostobs
 
 import (
@@ -196,8 +195,7 @@ func (k metricKind) String() string {
 // series is one registered (family, labels) instance.
 type series struct {
 	family string
-	labels string   // rendered `k="v",...`, "" when unlabeled; the sort key
-	kv     []string // the label pairs, for structural (JSON) rendering
+	labels string // rendered `k="v",...`, "" when unlabeled; the sort key
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
@@ -261,7 +259,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *
 	}
 	s := f.series[ls]
 	if s == nil {
-		s = &series{family: name, labels: ls, kv: append([]string(nil), labels...)}
+		s = &series{family: name, labels: ls}
 		f.series[ls] = s
 	}
 	return s
@@ -415,69 +413,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders a /debug/vars-style snapshot: a JSON array of
-// series objects in the same sorted order as WritePrometheus, each
-// carrying name, type, parsed labels, and either a value or the
-// histogram triple. Rendered by hand (ordered fields, no map ranging)
-// so the output is deterministic.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("[")
-	first := true
-	for _, f := range r.snapshot() {
-		for _, s := range f.sortedSeries() {
-			if !first {
-				b.WriteString(",")
-			}
-			first = false
-			fmt.Fprintf(&b, "\n  {\"name\":%q,\"type\":%q", f.name, f.kind.String())
-			if len(s.kv) > 0 {
-				b.WriteString(",\"labels\":{")
-				for i := 0; i+1 < len(s.kv); i += 2 {
-					if i > 0 {
-						b.WriteString(",")
-					}
-					fmt.Fprintf(&b, "%q:%q", s.kv[i], s.kv[i+1])
-				}
-				b.WriteString("}")
-			}
-			switch f.kind {
-			case kindCounter:
-				var v int64
-				if s.c != nil {
-					v = s.c.Value()
-				}
-				fmt.Fprintf(&b, ",\"value\":%d}", v)
-			case kindGauge:
-				var v int64
-				if s.g != nil {
-					v = s.g.Value()
-				}
-				fmt.Fprintf(&b, ",\"value\":%d}", v)
-			case kindHistogram:
-				if s.h == nil {
-					b.WriteString(",\"count\":0,\"sum\":0,\"buckets\":[]}")
-					continue
-				}
-				cum := s.h.Cumulative()
-				fmt.Fprintf(&b, ",\"count\":%d,\"sum\":%s,\"buckets\":[",
-					s.h.Count(), formatFloat(s.h.SumSeconds()))
-				for i, bound := range s.h.bounds {
-					if i > 0 {
-						b.WriteString(",")
-					}
-					fmt.Fprintf(&b, "{\"le\":%s,\"count\":%d}", formatFloat(bound), cum[i])
-				}
-				if len(s.h.bounds) > 0 {
-					b.WriteString(",")
-				}
-				fmt.Fprintf(&b, "{\"le\":\"+Inf\",\"count\":%d}]}", cum[len(cum)-1])
-			}
-		}
-	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }

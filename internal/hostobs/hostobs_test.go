@@ -115,53 +115,6 @@ func TestStableOrderAcrossScrapes(t *testing.T) {
 	if d, m := strings.Index(out, `tier="disk"`), strings.Index(out, `tier="miss"`); !(d >= 0 && d < m) {
 		t.Fatalf("series not sorted by labels: disk@%d miss@%d", d, m)
 	}
-
-	var ja, jb bytes.Buffer
-	if err := r.WriteJSON(&ja); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if ja.String() != jb.String() {
-		t.Fatal("two JSON snapshots of an unchanged registry differ")
-	}
-}
-
-func TestJSONSnapshotParses(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "c", "tier", "memory").Add(3)
-	r.Histogram("lat_seconds", "l", nil).Observe(2 * time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(got) != 2 {
-		t.Fatalf("snapshot has %d series, want 2", len(got))
-	}
-	if got[0]["name"] != "c_total" || got[0]["value"].(float64) != 3 {
-		t.Fatalf("counter series wrong: %v", got[0])
-	}
-	h := got[1]
-	if h["name"] != "lat_seconds" || h["count"].(float64) != 1 {
-		t.Fatalf("histogram series wrong: %v", h)
-	}
-	buckets := h["buckets"].([]any)
-	if len(buckets) != len(LatencyBuckets)+1 {
-		t.Fatalf("histogram has %d buckets, want %d", len(buckets), len(LatencyBuckets)+1)
-	}
-	var prev float64
-	for _, b := range buckets {
-		c := b.(map[string]any)["count"].(float64)
-		if c < prev {
-			t.Fatalf("JSON buckets not monotone: %v", buckets)
-		}
-		prev = c
-	}
 }
 
 // TestPrometheusTextWellFormed checks every non-comment line is

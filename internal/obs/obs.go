@@ -187,11 +187,17 @@ type Event struct {
 	Name string
 }
 
+// chunkEvents is the capacity of one event-buffer chunk. The buffer is
+// a list of chunks, so Emit appends into the last one and opens a new
+// one when it fills, and never regrows or copies the events it holds.
+const chunkEvents = 4096
+
 // Sink accumulates events and folds them into metrics and task spans
 // as they arrive. A nil *Sink ignores all emissions at the cost of one
 // branch, so every hardware model emits unconditionally.
 type Sink struct {
-	events  []Event
+	chunks  [][]Event // emission order; every chunk but the last is full
+	n       int       // buffered events
 	limit   int
 	dropped int64
 	metrics Metrics
@@ -221,19 +227,35 @@ func (s *Sink) Emit(ev Event) {
 	case KindDispatch, KindTaskStart, KindTaskComplete:
 		s.tasks.fold(ev)
 	}
-	if s.limit > 0 && len(s.events) >= s.limit {
+	if s.limit > 0 && s.n >= s.limit {
 		s.dropped++
 		return
 	}
-	s.events = append(s.events, ev)
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		// No chunk outgrows what the limit still admits, so a sink
+		// limited to a few events allocates only that few.
+		size := chunkEvents
+		if s.limit > 0 {
+			size = min(size, s.limit-s.n)
+		}
+		s.chunks = append(s.chunks, make([]Event, 0, size))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], ev)
+	s.n++
 }
 
-// Events returns the buffered events in emission order.
+// Events returns a copy of the buffered events in emission order.
 func (s *Sink) Events() []Event {
-	if s == nil {
+	if s == nil || s.n == 0 {
 		return nil
 	}
-	return append([]Event(nil), s.events...)
+	out := make([]Event, 0, s.n)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Len returns the buffered event count.
@@ -241,7 +263,7 @@ func (s *Sink) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.events)
+	return s.n
 }
 
 // Dropped returns how many events exceeded the buffer limit (their

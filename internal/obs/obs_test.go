@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,24 +54,68 @@ func TestNilSinkLifecycleSafe(t *testing.T) {
 	}
 }
 
-// TestLimit pins the buffer bound for lifecycle events: a limited sink
-// holds exactly its limit, and a zero limit holds everything.
+// TestLimit pins the buffer bound, and the chunked buffer behind it,
+// at the chunk boundaries: a limited sink holds exactly its first limit
+// events and counts the rest as dropped, a zero limit holds everything,
+// and either way Events keeps emission order while the metrics and the
+// task spans fold every event.
 func TestLimit(t *testing.T) {
-	limited, unbounded := New(2), New(0)
-	for _, s := range []*Sink{limited, unbounded} {
-		for i := 0; i < 10; i++ {
-			kind := KindTaskStart
-			if i%2 == 1 {
-				kind = KindTaskComplete
-			}
-			s.Emit(Event{Cycle: int64(i), Kind: kind, A: int64(i / 2)})
+	// Task i is dispatched to, started on and completed on lane i%4,
+	// with a NoC hop between. The stream spans three chunks and a bit,
+	// and ends on a dispatch whose task never starts.
+	const total = 3*chunkEvents + 5
+	var stream []Event
+	wantSpans := map[int64]TaskSpan{}
+	for i := 0; len(stream) < total; i++ {
+		lane, c := int32(i%4), int64(4*i)
+		stream = append(stream,
+			Event{Cycle: c, Kind: KindDispatch, Comp: lane, Name: "copy"},
+			Event{Cycle: c + 1, Kind: KindTaskStart, Comp: lane, A: int64(i), B: 1, Name: "copy"},
+			Event{Cycle: c + 2, Dur: 3, Kind: KindNoCHop, Comp: lane},
+			Event{Cycle: c + 3, Kind: KindTaskComplete, Comp: lane, A: int64(i), B: 1, Name: "copy"})
+		sp := TaskSpan{Lane: int(lane), TypeName: "copy", Dispatched: c, Started: -1, Completed: -1}
+		if len(stream)-3 < total {
+			sp.TaskKey, sp.Phase, sp.Started = uint64(i), 1, c+1
 		}
+		if len(stream) <= total {
+			sp.Completed = c + 3
+		}
+		wantSpans[c] = sp
 	}
-	if limited.Len() != 2 {
-		t.Fatalf("limited sink holds %d, want 2", limited.Len())
-	}
-	if unbounded.Len() != 10 || unbounded.Dropped() != 0 {
-		t.Fatalf("unbounded sink holds %d (dropped %d), want 10 (0)", unbounded.Len(), unbounded.Dropped())
+	stream = stream[:total]
+	hops := int64(total / 4)
+
+	for _, limit := range []int{2, chunkEvents - 1, chunkEvents, chunkEvents + 1, 0} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			s := New(limit)
+			for _, ev := range stream {
+				s.Emit(ev)
+			}
+			held := total
+			if limit > 0 {
+				held = limit
+			}
+			if s.Len() != held || s.Dropped() != int64(total-held) {
+				t.Fatalf("Len = %d, Dropped = %d, want %d, %d", s.Len(), s.Dropped(), held, total-held)
+			}
+			if evs := s.Events(); !slices.Equal(evs, stream[:held]) {
+				t.Fatalf("Events returned %d events, not the first %d emitted in order", len(evs), held)
+			}
+			m := s.Metrics()
+			if m.Dispatches != int64(len(wantSpans)) || m.NoCHops != hops || m.NoCBusyCycles != 3*hops {
+				t.Fatalf("metrics: dispatches=%d hops=%d busy=%d, want %d, %d, %d",
+					m.Dispatches, m.NoCHops, m.NoCBusyCycles, len(wantSpans), hops, 3*hops)
+			}
+			spans := s.Spans()
+			if len(spans) != len(wantSpans) {
+				t.Fatalf("%d spans, want %d", len(spans), len(wantSpans))
+			}
+			for _, sp := range spans {
+				if sp != wantSpans[sp.Dispatched] {
+					t.Fatalf("span %+v, want %+v", sp, wantSpans[sp.Dispatched])
+				}
+			}
+		})
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 
 // Host-side observability for the delta-serve surface (DESIGN.md §18):
 // every request is counted, timed, and sized into the server's hostobs
-// registry, exported at GET /metrics (Prometheus text) and GET
-// /debug/vars (JSON snapshot), and optionally logged one structured
-// line per request. All of it observes the host process only — cache
-// keys, reports, and simulation results are untouched.
+// registry, exported at GET /metrics (Prometheus text), and optionally
+// logged one structured line per request. All of it observes the host
+// process only — cache keys, reports, and simulation results are
+// untouched.
 
 const (
 	helpHTTPReqs  = "HTTP requests served, by route and status code."
@@ -29,11 +29,10 @@ const (
 // else collapses into "other" so an unauthenticated scanner cannot
 // inflate series cardinality.
 var knownRoutes = map[string]bool{
-	"/v1/run":     true,
-	"/v1/suite":   true,
-	"/v1/stats":   true,
-	"/metrics":    true,
-	"/debug/vars": true,
+	"/v1/run":   true,
+	"/v1/suite": true,
+	"/v1/stats": true,
+	"/metrics":  true,
 }
 
 func routeLabel(path string) string {
@@ -187,17 +186,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.host.WritePrometheus(w)
-}
-
-// handleVars implements GET /debug/vars: the same series as /metrics
-// as one deterministic JSON array.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.host.WriteJSON(w)
 }
 
 // instrumentDisk exports the disk store's stats as function gauges.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -151,9 +152,9 @@ func TestServerHostProfMetrics(t *testing.T) {
 }
 
 // TestServerMetricsStableAndParseable pins the scrape surface itself:
-// two idle scrapes are byte-identical, /debug/vars parses as JSON with
-// monotone histogram buckets, and unknown paths fold into the "other"
-// route label instead of minting new series.
+// two idle scrapes are byte-identical, every histogram's cumulative
+// buckets are monotone, unknown paths fold into the "other" route label
+// instead of minting new series, and /metrics is the only scrape route.
 func TestServerMetricsStableAndParseable(t *testing.T) {
 	c, _, _ := newTestService(t)
 	if _, _, err := c.RunWire(wireSpec(t, histSpec())); err != nil {
@@ -188,29 +189,32 @@ func TestServerMetricsStableAndParseable(t *testing.T) {
 		t.Fatalf("probe path leaked into series labels:\n%s", a)
 	}
 
-	code, vars := get(t, c.base+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars returned %d", code)
-	}
-	var series []map[string]any
-	if err := json.Unmarshal([]byte(vars), &series); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, vars)
-	}
-	if len(series) == 0 {
-		t.Fatal("/debug/vars is empty")
-	}
-	for _, s := range series {
-		if s["type"] != "histogram" {
+	// Cumulative _bucket lines come in ascending le order, +Inf last,
+	// so within one series (the line up to its le label) the counts
+	// must never fall.
+	buckets := map[string][]int64{}
+	for _, line := range strings.Split(a, "\n") {
+		le := strings.LastIndex(line, `le="`)
+		if !strings.Contains(line, "_bucket{") || le < 0 {
 			continue
 		}
-		var prev float64
-		for _, b := range s["buckets"].([]any) {
-			cnt := b.(map[string]any)["count"].(float64)
-			if cnt < prev {
-				t.Fatalf("histogram %v buckets not monotone", s["name"])
-			}
-			prev = cnt
+		var v int64
+		if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &v); err != nil {
+			t.Fatalf("unparseable bucket line %q: %v", line, err)
 		}
+		buckets[line[:le]] = append(buckets[line[:le]], v)
+	}
+	if len(buckets) == 0 {
+		t.Fatalf("scrape has no histogram buckets:\n%s", a)
+	}
+	for series, counts := range buckets {
+		if !slices.IsSorted(counts) {
+			t.Fatalf("histogram %s} buckets not monotone: %v", series, counts)
+		}
+	}
+
+	if code, _ := get(t, c.base+"/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars returned %d, want 404", code)
 	}
 
 	// Write methods are rejected on the read-only surfaces.

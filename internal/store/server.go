@@ -31,8 +31,8 @@ type Server struct {
 	mux    *http.ServeMux
 
 	// Host observability (hostmetrics.go): the metrics registry behind
-	// /metrics and /debug/vars, the request id sequence, and the
-	// optional structured access log.
+	// /metrics, the request id sequence, and the optional structured
+	// access log.
 	host    *hostobs.Registry
 	reqSeq  atomic.Int64
 	logMu   sync.Mutex
@@ -57,7 +57,6 @@ func NewServer(runner *runplan.Runner, disk *DiskStore, workers int) *Server {
 	s.mux.HandleFunc("/v1/suite", s.handleSuite)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/vars", s.handleVars)
 	runner.InstrumentHost(s.host)
 	if disk != nil {
 		s.instrumentDisk()
