@@ -19,11 +19,11 @@
 //	delta-vet -json vet.json      # machine-readable diagnostics
 //	delta-vet -infer              # strip → infer → vet + precision/recall
 //	delta-vet -infer -min-fwd-pr 0.99 -min-shared-pr 0.99   # CI gate
-//	delta-vet -infer -coarsen 4096   # also merge sub-threshold tasks
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,60 +34,74 @@ import (
 	"taskstream/internal/workload"
 )
 
-func main() {
-	name := flag.String("workload", "", "vet a single workload (default: whole suite)")
-	verbose := flag.Bool("v", false, "print per-workload status even when clean (with -infer: the full patch)")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	ports := flag.Int("ports", config.Default8().Fabric.NumPorts,
-		"fabric port count for the port-overflow check (0 disables)")
-	hintSkew := flag.Int64("hint-skew", 10, "work-hint divergence factor for the hint-skew check")
-	doInfer := flag.Bool("infer", false, "strip annotations, re-infer them, score against hand annotations")
-	coarsen := flag.Int64("coarsen", 0, "with -infer: merge adjacent tasks below this work threshold (0 disables)")
-	minFwdPR := flag.Float64("min-fwd-pr", 0, "with -infer: fail if aggregate forward precision or recall drops below this floor")
-	minSharedPR := flag.Float64("min-shared-pr", 0, "with -infer: fail if aggregate shared precision or recall drops below this floor")
-	flag.Parse()
+// options holds the parsed flag values; validate rejects bad ones
+// before any workload is built.
+type options struct {
+	workload    string
+	verbose     bool
+	jsonPath    string
+	ports       int
+	hintSkew    int64
+	infer       bool
+	minFwdPR    float64
+	minSharedPR float64
+	args        []string // positional arguments; delta-vet takes none
+}
 
+// validate checks every flag value up front, returning a usage-style
+// error naming the offending flag. A floor must lie in [0, 1]; the
+// negated form also rejects NaN, which would disable the gate.
+func (o options) validate() error {
 	switch {
-	case *ports < 0:
-		usage("-ports must be >= 0 (got %d)", *ports)
-	case *hintSkew <= 0:
-		usage("-hint-skew must be > 0 (got %d)", *hintSkew)
-	case *coarsen < 0:
-		usage("-coarsen must be >= 0 (got %d)", *coarsen)
-	case *coarsen > 0 && !*doInfer:
-		usage("-coarsen requires -infer")
-	case *minFwdPR < 0 || *minFwdPR > 1:
-		usage("-min-fwd-pr must be in [0, 1] (got %g)", *minFwdPR)
-	case *minSharedPR < 0 || *minSharedPR > 1:
-		usage("-min-shared-pr must be in [0, 1] (got %g)", *minSharedPR)
-	case (*minFwdPR > 0 || *minSharedPR > 0) && !*doInfer:
-		usage("-min-fwd-pr/-min-shared-pr require -infer")
-	case (*minFwdPR > 0 || *minSharedPR > 0) && *coarsen > 0:
-		usage("precision/recall floors cannot be combined with -coarsen (merged task lists have no hand reference)")
-	case flag.NArg() > 0:
-		usage("unexpected argument %q", flag.Arg(0))
+	case o.ports < 0:
+		return fmt.Errorf("-ports must be >= 0 (got %d)", o.ports)
+	case o.hintSkew <= 0:
+		return fmt.Errorf("-hint-skew must be > 0 (got %d)", o.hintSkew)
+	case !(o.minFwdPR >= 0 && o.minFwdPR <= 1):
+		return fmt.Errorf("-min-fwd-pr must be in [0, 1] (got %g)", o.minFwdPR)
+	case !(o.minSharedPR >= 0 && o.minSharedPR <= 1):
+		return fmt.Errorf("-min-shared-pr must be in [0, 1] (got %g)", o.minSharedPR)
+	case (o.minFwdPR > 0 || o.minSharedPR > 0) && !o.infer:
+		return errors.New("-min-fwd-pr/-min-shared-pr require -infer")
+	case len(o.args) > 0:
+		return fmt.Errorf("unexpected argument %q", o.args[0])
+	}
+	return nil
+}
+
+func main() {
+	o := options{}
+	flag.StringVar(&o.workload, "workload", "", "vet a single workload (default: whole suite)")
+	flag.BoolVar(&o.verbose, "v", false, "print per-workload status even when clean (with -infer: the full patch)")
+	flag.StringVar(&o.jsonPath, "json", "", "write machine-readable results to this file")
+	flag.IntVar(&o.ports, "ports", config.Default8().Fabric.NumPorts,
+		"fabric port count for the port-overflow check (0 disables)")
+	flag.Int64Var(&o.hintSkew, "hint-skew", 10, "work-hint divergence factor for the hint-skew check")
+	flag.BoolVar(&o.infer, "infer", false, "strip annotations, re-infer them, score against hand annotations")
+	flag.Float64Var(&o.minFwdPR, "min-fwd-pr", 0, "with -infer: fail if aggregate forward precision or recall drops below this floor")
+	flag.Float64Var(&o.minSharedPR, "min-shared-pr", 0, "with -infer: fail if aggregate shared precision or recall drops below this floor")
+	flag.Parse()
+	o.args = flag.Args()
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "delta-vet: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	builders := workload.Suite()
-	if *name != "" {
-		nb := workload.ByName(*name)
+	if o.workload != "" {
+		nb := workload.ByName(o.workload)
 		if nb == nil {
-			fmt.Fprintf(os.Stderr, "delta-vet: unknown workload %q\n", *name)
+			fmt.Fprintf(os.Stderr, "delta-vet: unknown workload %q\n", o.workload)
 			os.Exit(2)
 		}
 		builders = []workload.NamedBuilder{*nb}
 	}
 
-	if *doInfer {
-		os.Exit(runInfer(builders, *ports, *coarsen, *minFwdPR, *minSharedPR, *verbose, *jsonPath))
+	if o.infer {
+		os.Exit(runInfer(builders, o.ports, o.minFwdPR, o.minSharedPR, o.verbose, o.jsonPath))
 	}
-	os.Exit(runVet(builders, analysis.Options{NumPorts: *ports, HintSkew: *hintSkew}, *verbose, *jsonPath))
-}
-
-func usage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "delta-vet: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
+	os.Exit(runVet(builders, analysis.Options{NumPorts: o.ports, HintSkew: o.hintSkew}, o.verbose, o.jsonPath))
 }
 
 // ---------------------------------------------------------------------
@@ -196,11 +210,10 @@ type jsonInfer struct {
 	Aggregate *jsonAccuracy       `json:"aggregate,omitempty"`
 }
 
-func runInfer(builders []workload.NamedBuilder, ports int, coarsen int64, minFwdPR, minSharedPR float64, verbose bool, jsonPath string) int {
+func runInfer(builders []workload.NamedBuilder, ports int, minFwdPR, minSharedPR float64, verbose bool, jsonPath string) int {
 	iopts := infer.Options{
-		NumPorts:         ports,
-		PortWidth:        config.Default8().Fabric.PortWidth,
-		CoarsenThreshold: coarsen,
+		NumPorts:  ports,
+		PortWidth: config.Default8().Fabric.PortWidth,
 	}
 	dump := jsonInfer{Mode: "infer"}
 	var agg infer.Accuracy
@@ -217,30 +230,27 @@ func runInfer(builders []workload.NamedBuilder, ports int, coarsen int64, minFwd
 			continue
 		}
 		jw.Patch = patch
-		line := fmt.Sprintf("%-12s %4d tasks  %s", nb.Name, len(inferred.Tasks), patch.Counts())
-		if coarsen == 0 {
-			acc, cmpErr := infer.Compare(w.Prog, inferred)
-			if cmpErr != nil {
-				failed++
-				jw.Error = cmpErr.Error()
-				dump.Workloads = append(dump.Workloads, jw)
-				fmt.Printf("%-12s FAILED: %v\n", nb.Name, cmpErr)
-				continue
-			}
-			agg.Add(acc)
-			scored++
-			ja := jsonAccuracy{
-				Forwards: mkJSONPR(acc.Forwards), Shared: mkJSONPR(acc.Shared),
-				HintsExact: acc.HintsExact, HintsTotal: acc.HintsTotal,
-			}
-			jw.Accuracy = &ja
-			line += fmt.Sprintf("  [fwd P/R %.2f/%.2f  shared P/R %.2f/%.2f  hints %d/%d]",
-				acc.Forwards.Precision(), acc.Forwards.Recall(),
-				acc.Shared.Precision(), acc.Shared.Recall(),
-				acc.HintsExact, acc.HintsTotal)
+		acc, err := infer.Compare(w.Prog, inferred)
+		if err != nil {
+			failed++
+			jw.Error = err.Error()
+			dump.Workloads = append(dump.Workloads, jw)
+			fmt.Printf("%-12s FAILED: %v\n", nb.Name, err)
+			continue
 		}
+		agg.Add(acc)
+		scored++
+		ja := jsonAccuracy{
+			Forwards: mkJSONPR(acc.Forwards), Shared: mkJSONPR(acc.Shared),
+			HintsExact: acc.HintsExact, HintsTotal: acc.HintsTotal,
+		}
+		jw.Accuracy = &ja
 		dump.Workloads = append(dump.Workloads, jw)
-		fmt.Println(line)
+		fmt.Printf("%-12s %4d tasks  %s  [fwd P/R %.2f/%.2f  shared P/R %.2f/%.2f  hints %d/%d]\n",
+			nb.Name, len(inferred.Tasks), patch.Counts(),
+			acc.Forwards.Precision(), acc.Forwards.Recall(),
+			acc.Shared.Precision(), acc.Shared.Recall(),
+			acc.HintsExact, acc.HintsTotal)
 		if verbose {
 			fmt.Print(patch.String())
 		}

@@ -189,8 +189,7 @@ func FuzzAnalyze(f *testing.F) {
 		// The synthesizer must also hold up: it either refuses (vet
 		// errors in, or synthesis cannot reach a clean program) or
 		// returns a program that re-vets with zero errors.
-		iopts := infer.Options{NumPorts: int(ports), CoarsenThreshold: int64(skew)}
-		q, _, err := infer.Infer(p, iopts)
+		q, _, err := infer.Infer(p, infer.Options{NumPorts: int(ports)})
 		if err == nil {
 			if rep2 := analysis.AnalyzeOpts(q, analysis.Options{NumPorts: int(ports)}); rep2.Errors() > 0 {
 				t.Fatalf("Infer accepted a program whose annotated form has %d vet errors:\n%s",

@@ -111,12 +111,11 @@ func sharedEndpoints(p *core.Program) map[endpoint]bool {
 }
 
 // Compare scores inferred against the hand-annotated reference. The
-// two programs must describe the same task list (coarsened programs
-// cannot be compared — their task indices no longer line up).
+// two programs must describe the same task list.
 func Compare(hand, inferred *core.Program) (Accuracy, error) {
 	var a Accuracy
 	if len(hand.Tasks) != len(inferred.Tasks) {
-		return a, fmt.Errorf("infer: compare %q: task counts differ (%d hand vs %d inferred); was the program coarsened?",
+		return a, fmt.Errorf("infer: compare %q: task counts differ (%d hand vs %d inferred)",
 			hand.Name, len(hand.Tasks), len(inferred.Tasks))
 	}
 	handFwd, infFwd := forwardPairs(hand), forwardPairs(inferred)

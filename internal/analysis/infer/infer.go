@@ -46,18 +46,13 @@ import (
 // Options tunes the synthesizer.
 type Options struct {
 	// NumPorts is the fabric's physical port count, passed to the
-	// gating verifier and used as the port budget when coarsening.
-	// 0 disables the port bound (program-only analysis).
+	// gating verifier. 0 disables the port bound (program-only
+	// analysis).
 	NumPorts int
 	// PortWidth is the fabric's vector port width, the per-cycle
 	// element throughput the work-hint model divides DFG ops by.
 	// 0 means the default of 4.
 	PortWidth int
-	// CoarsenThreshold, when positive, first merges runs of adjacent
-	// same-type same-phase tasks whose estimated work falls below the
-	// threshold (DiscoPoP-style task merging), then annotates the
-	// coarsened program.
-	CoarsenThreshold int64
 }
 
 const defaultPortWidth = 4
@@ -77,9 +72,6 @@ func Infer(p *core.Program, opts Options) (*core.Program, *Patch, error) {
 	}
 	q := p.WithTasks(core.CloneTasks(p.Tasks))
 	patch := &Patch{Program: p.Name}
-	if opts.CoarsenThreshold > 0 {
-		q = coarsenProgram(q, opts, patch)
-	}
 	inferForwards(q, patch)
 	inferShared(q, patch)
 	inferHints(q, opts.PortWidth, patch)

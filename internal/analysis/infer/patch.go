@@ -10,7 +10,6 @@ import (
 // against the unannotated program.
 type Patch struct {
 	Program  string          `json:"program"`
-	Merges   []MergeChange   `json:"merges,omitempty"`
 	Forwards []ForwardChange `json:"forwards"`
 	Shared   []SharedChange  `json:"shared"`
 	Hints    []HintChange    `json:"hints"`
@@ -43,30 +42,16 @@ type SharedChange struct {
 	N    int    `json:"n"`
 }
 
-// MergeChange is one coarsening merge: the original task indices fused
-// into a single composite task.
-type MergeChange struct {
-	Type  string `json:"type"`
-	Tasks []int  `json:"tasks"`
-}
-
 // Counts returns a one-line summary of the patch.
 func (p *Patch) Counts() string {
-	s := fmt.Sprintf("%d forward tag(s), %d shared mark(s), %d work hint(s)",
+	return fmt.Sprintf("%d forward tag(s), %d shared mark(s), %d work hint(s)",
 		len(p.Forwards), len(p.Shared), len(p.Hints))
-	if len(p.Merges) > 0 {
-		s = fmt.Sprintf("%d merge(s), %s", len(p.Merges), s)
-	}
-	return s
 }
 
 // String renders the full patch, one line per change.
 func (p *Patch) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", p.Program, p.Counts())
-	for _, m := range p.Merges {
-		fmt.Fprintf(&b, "  merge %s: tasks %v\n", m.Type, m.Tasks)
-	}
 	for _, f := range p.Forwards {
 		fmt.Fprintf(&b, "  +forward tag %d: task %d out %d -> task %d in %d  [0x%x, %d elems)\n",
 			f.Tag, f.Producer, f.ProdPort, f.Consumer, f.ConsPort, f.Base, f.N)

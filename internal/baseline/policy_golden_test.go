@@ -145,3 +145,33 @@ func TestNewPolicySuiteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelinePolicyLaneSweep pins the claim the pipeline policy keeps
+// (DESIGN.md §17): consumer-anchored forward-group placement runs sort
+// in fewer cycles than dynamic at 4, 8 and 16 lanes, with verified
+// results.
+func TestPipelinePolicyLaneSweep(t *testing.T) {
+	nb := workload.ByName("sort")
+	for _, lanes := range []int{4, 8, 16} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			var cycles [core.NumPolicies]int64
+			for _, policy := range []core.Policy{core.PolicyDynamic, core.PolicyPipeline} {
+				w := nb.Build()
+				cfg, opts := Delta.Configure(config.Default8().WithLanes(lanes))
+				opts.Policy = policy
+				rep, err := RunCfg(cfg, opts, w.Prog, w.Storage)
+				if err != nil {
+					t.Fatalf("%s: %v", policy, err)
+				}
+				if err := w.Verify(); err != nil {
+					t.Fatalf("%s: wrong result: %v", policy, err)
+				}
+				cycles[policy] = rep.Cycles
+			}
+			if dyn, pipe := cycles[core.PolicyDynamic], cycles[core.PolicyPipeline]; pipe >= dyn {
+				t.Errorf("sort at %d lanes: pipeline %d cycles, dynamic %d; want pipeline faster",
+					lanes, pipe, dyn)
+			}
+		})
+	}
+}

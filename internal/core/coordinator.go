@@ -217,14 +217,14 @@ func (c *coordinator) dispatchOne(now sim.Cycle) bool {
 }
 
 // tryForwardGroup attempts to co-dispatch the forward group seeded by
-// the producer at index idx of the current phase queue: the consumer
+// the producer at the head of the current phase queue: the consumer
 // of its tag, and any other pending producers that consumer requires.
 // choose supplies the policy's lane selection: given the group
 // members' effective work hints (producers in order, consumer last)
 // it returns that many distinct lanes with queue space, aligned to the
 // weights, or nil to refuse. Reports whether the group dispatched.
-func (c *coordinator) tryForwardGroup(idx int, choose func(weights []int64) []int) bool {
-	t := c.pending[c.phase][idx]
+func (c *coordinator) tryForwardGroup(choose func(weights []int64) []int) bool {
+	t := c.pending[c.phase][0]
 	tag := t.ProducesTag()
 	if tag == 0 {
 		return false
@@ -244,7 +244,7 @@ func (c *coordinator) tryForwardGroup(idx int, choose func(weights []int64) []in
 		phase, idx int
 	}
 	producers := []Task{t}
-	removals := []pick{{c.phase, idx}, {ph, ci}}
+	removals := []pick{{c.phase, 0}, {ph, ci}}
 	fwdTags := map[uint64]bool{tag: true}
 	for _, in := range consumer.Ins {
 		if in.Kind != ArgForwardIn || in.Tag == tag {

@@ -83,9 +83,9 @@ func TestPickLaneRoundRobinWhenLBOff(t *testing.T) {
 	m := newIdleMachine(t, 4)
 	m.cfg.Task.EnableWorkAwareLB = false
 	d, s := dynSched(t, m)
-	a := d.pickLane(s)
-	b := d.pickLane(s)
-	c := d.pickLane(s)
+	a := d.pickLane(s, 0)
+	b := d.pickLane(s, 0)
+	c := d.pickLane(s, 0)
 	if a == b && b == c {
 		t.Fatalf("round-robin must rotate, got %d,%d,%d", a, b, c)
 	}

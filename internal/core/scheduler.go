@@ -21,11 +21,10 @@ const (
 	// block-partitioned over lanes before each phase begins and strict
 	// phase barriers apply.
 	PolicyStatic
-	// PolicyPipeline is the Pipeflow-style pipeline scheduler:
-	// stage-affine dispatch that prices fabric reconfiguration into the
-	// lane choice and keeps repeated producer→consumer forward groups
-	// on stable lanes, scanning past the queue head to form groups the
-	// head-only dynamic policy misses.
+	// PolicyPipeline is the dynamic policy with consumer-anchored
+	// forward-group placement: the group's consumer takes the
+	// least-loaded lane and its producers, heaviest work hint first,
+	// the next least-loaded ones (weightedLanes).
 	PolicyPipeline
 	// NumPolicies counts the registered policies.
 	NumPolicies
@@ -98,7 +97,7 @@ func newScheduler(p Policy) (Scheduler, error) {
 	case PolicyStatic:
 		return &staticSched{}, nil
 	case PolicyPipeline:
-		return newPipelineSched(), nil
+		return &dynamicSched{weighted: true}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown policy %d (valid: %s)",
 			uint8(p), strings.Join(policyNames[:], ", "))
@@ -131,26 +130,12 @@ func (s *SchedState) QueueFree(lane int) int { return s.c.m.lanes[lane].QueueSpa
 // effective hints of dispatched-but-incomplete tasks.
 func (s *SchedState) LaneWork(lane int) int64 { return s.c.laneWork[lane] }
 
-// LaneConfigured returns the task type the lane's fabric currently
-// holds, or -1 before the first task — dispatching a matching type
-// skips the ConfigCycles reconfiguration stall.
-func (s *SchedState) LaneConfigured(lane int) int { return s.c.m.lanes[lane].curType }
-
 // WorkAware reports whether the config enables work-aware load
 // balancing (false means round-robin preference).
 func (s *SchedState) WorkAware() bool { return s.c.m.cfg.Task.EnableWorkAwareLB }
 
 // ForwardingEnabled reports whether forward-group formation is on.
 func (s *SchedState) ForwardingEnabled() bool { return s.c.m.cfg.Task.EnableForwarding }
-
-// ConfigPenalty returns a fabric reconfiguration stall expressed in
-// work-hint units: ConfigCycles at the fabric's full per-port pump
-// rate. Affinity-aware policies price a type switch into the lane
-// choice with it.
-func (s *SchedState) ConfigPenalty() int64 {
-	f := s.c.m.cfg.Fabric
-	return int64(f.ConfigCycles) * int64(f.PortWidth)
-}
 
 // Dispatch pops the idx-th task of the current phase queue and sends
 // it to lane, booking the load model and obs dispatch event. The lane
@@ -167,7 +152,7 @@ func (s *SchedState) Dispatch(idx, lane int) {
 }
 
 // TryForwardGroup attempts to co-dispatch the forward group seeded by
-// the idx-th pending task (which must produce a forward tag): the
+// the head pending task (which must produce a forward tag): the
 // consumer of its tag plus every other still-pending producer that
 // consumer needs. The group-formation mechanics — membership, queue
 // removal, gate coupling, destination patching — live in the
@@ -176,6 +161,6 @@ func (s *SchedState) Dispatch(idx, lane int) {
 // last) and returns one distinct lane with queue space per member,
 // aligned to the weights (or nil to refuse). Reports whether the group
 // dispatched.
-func (s *SchedState) TryForwardGroup(idx int, choose func(weights []int64) []int) bool {
-	return s.c.tryForwardGroup(idx, choose)
+func (s *SchedState) TryForwardGroup(choose func(weights []int64) []int) bool {
+	return s.c.tryForwardGroup(choose)
 }

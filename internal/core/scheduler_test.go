@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 
 	"taskstream/internal/mem"
@@ -37,21 +37,21 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSchedulerNamesMatchPolicies pins that every policy name builds
-// the scheduler it names.
+// TestSchedulerNamesMatchPolicies pins the policy → scheduler mapping:
+// pipeline is the dynamic scheduler with weighted group placement.
 func TestSchedulerNamesMatchPolicies(t *testing.T) {
-	want := map[string]string{
-		"dynamic":  "*core.dynamicSched",
-		"static":   "*core.staticSched",
-		"pipeline": "*core.pipelineSched",
+	want := map[string]Scheduler{
+		"dynamic":  &dynamicSched{},
+		"static":   &staticSched{},
+		"pipeline": &dynamicSched{weighted: true},
 	}
 	for p := Policy(0); p < NumPolicies; p++ {
 		sched, err := newScheduler(p)
 		if err != nil {
 			t.Fatalf("newScheduler(%v): %v", p, err)
 		}
-		if got := fmt.Sprintf("%T", sched); got != want[p.String()] {
-			t.Fatalf("policy %v builds %s, want %s", p, got, want[p.String()])
+		if !reflect.DeepEqual(sched, want[p.String()]) {
+			t.Fatalf("policy %v builds %#v, want %#v", p, sched, want[p.String()])
 		}
 	}
 	if _, err := newScheduler(NumPolicies); err == nil {
@@ -84,6 +84,14 @@ func TestWeightedLanesPlacement(t *testing.T) {
 	}
 	if lanes[0] != 1 {
 		t.Fatalf("light producer on lane %d, want 1", lanes[0])
+	}
+
+	// Equal loads tie toward the lowest lane index, member by member.
+	for i := range m.coord.laneWork {
+		m.coord.laneWork[i] = 0
+	}
+	if got := weightedLanes(s, []int64{10, 90, 50}); got[2] != 0 || got[1] != 1 || got[0] != 2 {
+		t.Fatalf("tied lanes = %v, want [2 1 0] (consumer, heavy, light from lane 0 up)", got)
 	}
 }
 

@@ -47,7 +47,7 @@ func e16Specs(nbs []workload.NamedBuilder, cfg config.Config) []runplan.Spec {
 // E16Policies is the dispatch-policy ablation the scheduler interface
 // (DESIGN.md §17) exists to ask: every policy across the full suite on
 // the identical delta machine, plus a skew sensitivity sweep. All three
-// schedulers see the same mechanisms (work-aware LB flag, multicast,
+// policies see the same mechanisms (work-aware LB flag, multicast,
 // forwarding); only the dispatch decisions differ, so the cycle deltas
 // isolate scheduling.
 func E16Policies() (Result, error) {

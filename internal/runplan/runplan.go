@@ -50,12 +50,20 @@ func ForVariant(nb workload.NamedBuilder, v baseline.Variant, cfg config.Config)
 	return Spec{Workload: nb, Config: mcfg, Opts: opts}
 }
 
-// Key returns the spec's content address: workload name plus the
-// canonical encodings of config and normalized options. No maps are
-// ranged anywhere on this path, so the key is stable across processes
-// and runs.
+// modelRevision names the simulated machine model a result was
+// computed by. It prefixes every Spec.Key, so a persistent Store filled
+// by a build of an earlier model misses instead of serving results
+// this model no longer produces. Bump it whenever a simulated result
+// changes: any line of bench_results.txt or of a policy golden.
+// TestModelRevisionTripwire fails until the bump is made.
+const modelRevision = "r1"
+
+// Key returns the spec's content address: the model revision, the
+// workload name, and the canonical encodings of config and normalized
+// options. No maps are ranged anywhere on this path, so the key is
+// stable across processes and runs.
 func (s Spec) Key() string {
-	return s.Workload.Name + "|" + s.Config.Canonical() + "|" + s.Opts.CacheKey()
+	return modelRevision + "|" + s.Workload.Name + "|" + s.Config.Canonical() + "|" + s.Opts.CacheKey()
 }
 
 // Cacheable reports whether the spec may be memoized; observed runs

@@ -1,7 +1,10 @@
 package runplan
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,6 +50,45 @@ func TestSpecKeyIdentity(t *testing.T) {
 	// machines for the same workload.
 	if ForVariant(*workload.ByName("hist"), baseline.Static, config.Default8()).Key() == a.Key() {
 		t.Error("static and delta variants share a key")
+	}
+}
+
+// oracleFiles hold every simulated result the repository commits:
+// the experiment tables and the byte-exact dynamic and static policy
+// goldens.
+var oracleFiles = []string{
+	"../../bench_results.txt",
+	"../baseline/testdata/default_policy_golden.txt",
+	"../baseline/testdata/static_policy_golden.txt",
+}
+
+// oracleDigests records, per modelRevision, the SHA-256 of the
+// oracleFiles concatenated in order.
+var oracleDigests = map[string]string{
+	"r1": "e5cf5155b8b77006aee2aceb70aecce7aff394e819e689d344827bb7b566d207",
+}
+
+// TestModelRevisionTripwire ties modelRevision to the committed
+// results: a change that moves any simulated result changes the
+// digest, and must bump modelRevision so persistent stores filled by
+// the earlier model stop answering.
+func TestModelRevisionTripwire(t *testing.T) {
+	h := sha256.New()
+	for _, f := range oracleFiles {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	want, ok := oracleDigests[modelRevision]
+	if !ok {
+		t.Fatalf("modelRevision %q has no recorded oracle digest; record %s in oracleDigests", modelRevision, got)
+	}
+	if got != want {
+		t.Fatalf("simulated results changed (oracle sha256 %s, recorded %s under %q): bump modelRevision and record the new digest",
+			got, want, modelRevision)
 	}
 }
 

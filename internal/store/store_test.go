@@ -165,6 +165,29 @@ func TestRunnerHealsCorruptStore(t *testing.T) {
 	}
 }
 
+// TestRunnerIgnoresEarlierModelEntries pins the model revision in the
+// content address: a store filled by a build of an earlier model holds
+// entries under that build's key form, which had no revision prefix.
+// When pipeline stopped reusing lane tuples, its sort run moved from
+// 79,915 to 69,121 cycles; the earlier entry must miss, not answer.
+func TestRunnerIgnoresEarlierModelEntries(t *testing.T) {
+	spec := runplan.ForVariant(*workload.ByName("sort"), baseline.Delta, config.Default8())
+	spec.Opts.Policy = core.PolicyPipeline
+	d := mustOpen(t, t.TempDir(), 0)
+	d.Save(spec.Workload.Name+"|"+spec.Config.Canonical()+"|"+spec.Opts.CacheKey(), testReport(79915))
+
+	r := runplan.NewRunner()
+	r.SetDisabled(false)
+	r.SetStore(d)
+	rep, src, err := r.RunInfo(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != runplan.SourceExecuted || rep.Cycles != 69121 {
+		t.Fatalf("got %d cycles from %q, want 69121 from %q", rep.Cycles, src, runplan.SourceExecuted)
+	}
+}
+
 // TestDiskStoreLRU pins the size bound: saves beyond the bound evict
 // the least-recently-used entries, and a Load refreshes recency.
 func TestDiskStoreLRU(t *testing.T) {
