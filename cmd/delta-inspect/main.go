@@ -40,15 +40,25 @@ type options struct {
 	timeline bool
 }
 
-// validate checks every flag value up front, returning a usage-style
-// error naming the offending flag so main can exit 1 cleanly instead
-// of panicking or printing partial garbage mid-dump.
+// validatePolicy checks the -policy name separately from the
+// structural flags: a bad policy name is a usage error and exits 2.
+func (o options) validatePolicy() error {
+	if o.policy == "" {
+		return nil
+	}
+	_, err := core.ParsePolicy(o.policy)
+	return err
+}
+
+// validate checks every other flag value up front, returning a
+// usage-style error naming the offending flag so main can exit 1
+// cleanly instead of panicking or printing partial garbage mid-dump.
 func (o options) validate() error {
 	if workload.ByName(o.workload) == nil {
 		return fmt.Errorf("unknown workload %q (-workload must be one of: %s)",
-			o.workload, strings.Join(suiteNames(), ", "))
+			o.workload, strings.Join(workload.SuiteNames(), ", "))
 	}
-	if _, err := variantByName(o.variant); err != nil {
+	if _, err := baseline.ParseVariant(o.variant); err != nil {
 		return err
 	}
 	if o.lanes < 1 {
@@ -57,41 +67,15 @@ func (o options) validate() error {
 	if o.tasks < 0 {
 		return fmt.Errorf("-tasks must be >= 0 (got %d)", o.tasks)
 	}
-	if o.policy != "" {
-		if _, err := core.ParsePolicy(o.policy); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// applyPolicy overrides opts.Policy when -policy was given; validate
-// has already vetted the name.
+// applyPolicy overrides opts.Policy when -policy was given;
+// validatePolicy has already vetted the name.
 func (o options) applyPolicy(opts *core.Options) {
 	if o.policy != "" {
 		opts.Policy, _ = core.ParsePolicy(o.policy)
 	}
-}
-
-// variantByName resolves a variant display name.
-func variantByName(name string) (baseline.Variant, error) {
-	var names []string
-	for v := baseline.Static; v < baseline.NumVariants; v++ {
-		if v.String() == name {
-			return v, nil
-		}
-		names = append(names, v.String())
-	}
-	return 0, fmt.Errorf("unknown variant %q (-variant must be one of: %s)",
-		name, strings.Join(names, ", "))
-}
-
-func suiteNames() []string {
-	var names []string
-	for _, nb := range workload.Suite() {
-		names = append(names, nb.Name)
-	}
-	return names
 }
 
 func main() {
@@ -109,6 +93,11 @@ func main() {
 	flag.BoolVar(&o.timeline, "timeline", false, "render a per-lane occupancy timeline")
 	flag.Parse()
 
+	if err := o.validatePolicy(); err != nil {
+		fmt.Fprintf(os.Stderr, "delta-inspect: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "delta-inspect: %v\n", err)
 		flag.Usage()
@@ -145,7 +134,7 @@ func main() {
 			rt.Key == t.Key)
 	}
 
-	v, _ := variantByName(o.variant)
+	v, _ := baseline.ParseVariant(o.variant)
 	mcfg, opts := v.Configure(cfg)
 	o.applyPolicy(&opts)
 	var sink *obs.Sink
@@ -200,6 +189,11 @@ func runStalls(args []string) {
 		"max buffered trace events (0 = unbounded)")
 	fs.Parse(args)
 
+	if err := o.validatePolicy(); err != nil {
+		fmt.Fprintf(os.Stderr, "delta-inspect stalls: %v\n", err)
+		fs.Usage()
+		os.Exit(2)
+	}
 	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "delta-inspect stalls: %v\n", err)
 		fs.Usage()
@@ -211,7 +205,7 @@ func runStalls(args []string) {
 
 	nb := workload.ByName(o.workload)
 	w := nb.Build()
-	v, _ := variantByName(o.variant)
+	v, _ := baseline.ParseVariant(o.variant)
 	cfg, opts := v.Configure(config.Default8().WithLanes(o.lanes))
 	o.applyPolicy(&opts)
 	sink := obs.New(traceLimit)

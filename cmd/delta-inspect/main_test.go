@@ -3,11 +3,14 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"taskstream/internal/baseline"
+	"taskstream/internal/core"
 )
 
-// TestValidateFlags pins the up-front flag validation: bad values must
-// produce a usage-style error naming the flag, never a panic or a
-// partial dump.
+// TestValidateFlags pins the up-front flag validation, in main's order
+// (validatePolicy, then validate): bad values must produce a
+// usage-style error naming the flag, never a panic or a partial dump.
 func TestValidateFlags(t *testing.T) {
 	valid := options{workload: "spmv", variant: "delta", lanes: 8, tasks: 3}
 	cases := []struct {
@@ -35,7 +38,10 @@ func TestValidateFlags(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			o := valid
 			c.mutate(&o)
-			err := o.validate()
+			err := o.validatePolicy()
+			if err == nil {
+				err = o.validate()
+			}
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validate(%+v) = %v, want nil", o, err)
@@ -52,19 +58,51 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestVariantByNameCoversAllVariants keeps the lookup in sync with the
-// baseline enum: every declared variant must resolve by display name.
+// TestVariantByNameCoversAllVariants keeps the -variant flag in sync
+// with the baseline enum: every declared variant must pass validate by
+// its display name and resolve to itself, and an unknown name must
+// error.
 func TestVariantByNameCoversAllVariants(t *testing.T) {
-	for _, name := range []string{"static", "dyn-rr", "+lb", "+lb+mc", "delta"} {
-		v, err := variantByName(name)
-		if err != nil {
-			t.Fatalf("variantByName(%q): %v", name, err)
+	valid := options{workload: "spmv", variant: "delta", lanes: 8, tasks: 3}
+	for v := baseline.Static; v < baseline.NumVariants; v++ {
+		o := valid
+		o.variant = v.String()
+		if err := o.validate(); err != nil {
+			t.Fatalf("validate with -variant %q: %v", o.variant, err)
 		}
-		if v.String() != name {
-			t.Fatalf("variantByName(%q) = %v", name, v)
+		if got, _ := baseline.ParseVariant(o.variant); got != v {
+			t.Fatalf("-variant %q resolved to %v", o.variant, got)
 		}
 	}
-	if _, err := variantByName("unknown"); err == nil {
-		t.Fatal("unknown variant must error")
+	o := valid
+	o.variant = "unknown"
+	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "unknown variant") {
+		t.Fatalf("validate with -variant %q = %v, want an unknown-variant error", o.variant, err)
+	}
+}
+
+// TestValidatePolicy pins the -policy check: every canonical name and
+// the empty default pass; typos are usage errors that validatePolicy
+// (main exits 2) catches and validate (exit 1) does not.
+func TestValidatePolicy(t *testing.T) {
+	valid := options{workload: "spmv", variant: "delta", lanes: 8, tasks: 3}
+	for _, name := range append(core.PolicyNames(), "") {
+		o := valid
+		o.policy = name
+		if err := o.validatePolicy(); err != nil {
+			t.Errorf("validatePolicy(%q) = %v, want nil", name, err)
+		}
+	}
+	o := valid
+	o.policy = "fifo"
+	err := o.validatePolicy()
+	if err == nil {
+		t.Fatal("validatePolicy accepted an unknown policy name")
+	}
+	if !strings.Contains(err.Error(), "fifo") {
+		t.Fatalf("validatePolicy error %q does not name the bad policy", err)
+	}
+	if err := o.validate(); err != nil {
+		t.Fatalf("validate rejected the policy too (%v): a bad policy must exit 2, not 1", err)
 	}
 }

@@ -8,10 +8,9 @@
 //
 // API (see internal/store/protocol.go):
 //
-//	POST /v1/run    one spec → report + {cached: memory|disk|dedup|miss}
-//	POST /v1/suite  batch → streamed per-spec JSON lines, completion order
-//	GET  /v1/stats  runner counters + store size/accounting
-//	GET  /metrics   Prometheus text exposition (hostobs registry)
+//	POST /v1/run   one spec → report + {cached: memory|disk|dedup|miss}
+//	GET  /metrics  Prometheus text exposition: runner tiers, store
+//	               accounting, sim run meter, HTTP series
 //
 // Usage:
 //
@@ -45,7 +44,6 @@ type options struct {
 	jobs       int
 	logFormat  string
 	accessLog  bool
-	hostprof   bool
 }
 
 // parseFlags binds the flag set over args (without the program name)
@@ -60,8 +58,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
 	fs.StringVar(&o.logFormat, "log-format", "text", "access-log format: text or json")
 	fs.BoolVar(&o.accessLog, "access-log", true, "log one structured line per request to stderr")
-	fs.BoolVar(&o.hostprof, "hostprof", false,
-		"export the sim run meter as sim_hostprof_* gauges at /metrics")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -86,9 +82,9 @@ func (o options) validate() error {
 // newHTTPServer wraps handler with the daemon's timeout policy.
 // ReadHeaderTimeout and ReadTimeout bound how long a client may dribble
 // a request in (the slow-loris guard); IdleTimeout reaps parked
-// keep-alive connections. There is deliberately NO WriteTimeout:
-// /v1/suite streams ndjson for as long as a cold batch simulates, and a
-// write deadline would sever it mid-stream.
+// keep-alive connections. There is deliberately NO WriteTimeout: a
+// cold /v1/run answers only when its simulation ends, and a write
+// deadline would cut that answer off.
 func newHTTPServer(handler http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           handler,
@@ -110,7 +106,7 @@ func main() {
 
 	// The daemon owns its runner rather than sharing the process-wide
 	// one: delta-serve is the only spec source in this process, and an
-	// isolated runner keeps its counters meaningful for /v1/stats.
+	// isolated runner keeps its /metrics tier counters meaningful.
 	runner := runplan.NewRunner()
 
 	var disk *store.DiskStore
@@ -136,10 +132,6 @@ func main() {
 	handler := store.NewServer(runner, disk, o.jobs)
 	if o.accessLog {
 		handler.SetRequestLog(os.Stderr, o.logFormat)
-	}
-	if o.hostprof {
-		handler.EnableHostProf()
-		fmt.Fprintln(os.Stderr, "delta-serve: sim run meter exported (sim_hostprof_* at /metrics)")
 	}
 	srv := newHTTPServer(handler)
 	fmt.Fprintf(os.Stderr, "delta-serve: listening on %s (-j %d)\n", ln.Addr(), o.jobs)

@@ -27,18 +27,22 @@ func TestParseFlagsDefaults(t *testing.T) {
 func TestParseFlagsPlumbing(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-addr", ":9000", "-store", "/tmp/ds", "-store-max-mb", "512", "-j", "3",
-		"-log-format", "json", "-access-log=false", "-hostprof",
+		"-log-format", "json", "-access-log=false",
 	})
 	if err != nil {
 		t.Fatalf("parseFlags: %v", err)
 	}
 	want := options{addr: ":9000", storeDir: "/tmp/ds", storeMaxMB: 512, jobs: 3,
-		logFormat: "json", accessLog: false, hostprof: true}
+		logFormat: "json", accessLog: false}
 	if o != want {
 		t.Fatalf("parseFlags = %+v, want %+v", o, want)
 	}
-	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
-		t.Fatal("parseFlags accepted an unknown flag")
+	// -hostprof is gone: the sim run meter is always exported at
+	// /metrics, so the flag is as unknown as any typo (main exits 2).
+	for _, flag := range []string{"-no-such-flag", "-hostprof"} {
+		if _, err := parseFlags([]string{flag}); err == nil {
+			t.Fatalf("parseFlags accepted the unknown flag %s", flag)
+		}
 	}
 }
 
@@ -83,7 +87,7 @@ func TestValidateFlags(t *testing.T) {
 
 // TestHTTPServerTimeouts pins the slow-loris guard: header and read
 // deadlines plus idle reaping are set, and WriteTimeout is zero — a
-// write deadline would sever the long-lived /v1/suite ndjson stream.
+// cold /v1/run answers only when its simulation ends, however long.
 func TestHTTPServerTimeouts(t *testing.T) {
 	srv := newHTTPServer(nil)
 	if srv.ReadHeaderTimeout <= 0 {
@@ -96,6 +100,6 @@ func TestHTTPServerTimeouts(t *testing.T) {
 		t.Error("IdleTimeout unset: parked keep-alive connections are never reaped")
 	}
 	if srv.WriteTimeout != 0 {
-		t.Errorf("WriteTimeout = %v, must be 0 (suite responses stream for the whole batch)", srv.WriteTimeout)
+		t.Errorf("WriteTimeout = %v, must be 0 (a cold run answers only when it finishes)", srv.WriteTimeout)
 	}
 }

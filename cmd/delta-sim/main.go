@@ -53,9 +53,9 @@ func (o options) validatePolicy() error {
 func (o options) validate() error {
 	if workload.ByName(o.workload) == nil {
 		return fmt.Errorf("unknown workload %q (-workload must be one of: %s)",
-			o.workload, strings.Join(suiteNames(), ", "))
+			o.workload, strings.Join(workload.SuiteNames(), ", "))
 	}
-	if _, err := variantByName(o.variant); err != nil {
+	if _, err := baseline.ParseVariant(o.variant); err != nil {
 		return err
 	}
 	if o.lanes < 1 {
@@ -70,19 +70,6 @@ func (o options) validate() error {
 	return nil
 }
 
-// variantByName resolves a variant display name.
-func variantByName(name string) (baseline.Variant, error) {
-	var names []string
-	for v := baseline.Static; v < baseline.NumVariants; v++ {
-		if v.String() == name {
-			return v, nil
-		}
-		names = append(names, v.String())
-	}
-	return 0, fmt.Errorf("unknown variant %q (-variant must be one of: %s)",
-		name, strings.Join(names, ", "))
-}
-
 // hintModeByName resolves a -hints value.
 func hintModeByName(name string) (core.HintMode, error) {
 	switch name {
@@ -94,14 +81,6 @@ func hintModeByName(name string) (core.HintMode, error) {
 		return core.HintNone, nil
 	}
 	return 0, fmt.Errorf("unknown hint mode %q (-hints must be one of: exact, noisy, none)", name)
-}
-
-func suiteNames() []string {
-	var names []string
-	for _, nb := range workload.Suite() {
-		names = append(names, nb.Name)
-	}
-	return names
 }
 
 func main() {
@@ -134,7 +113,7 @@ func main() {
 	}
 
 	nb := workload.ByName(o.workload)
-	v, _ := variantByName(o.variant)
+	v, _ := baseline.ParseVariant(o.variant)
 	hm, _ := hintModeByName(o.hints)
 
 	w := nb.Build()

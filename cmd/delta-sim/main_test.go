@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"taskstream/internal/baseline"
 	"taskstream/internal/core"
 )
 
@@ -53,20 +54,26 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestVariantByNameCoversAllVariants keeps the lookup in sync with the
-// baseline enum: every declared variant must resolve by display name.
+// TestVariantByNameCoversAllVariants keeps the -variant flag in sync
+// with the baseline enum: every declared variant must pass validate by
+// its display name and resolve to itself, and an unknown name must
+// error.
 func TestVariantByNameCoversAllVariants(t *testing.T) {
-	for _, name := range []string{"static", "dyn-rr", "+lb", "+lb+mc", "delta"} {
-		v, err := variantByName(name)
-		if err != nil {
-			t.Fatalf("variantByName(%q): %v", name, err)
+	valid := options{workload: "spmv", variant: "delta", lanes: 8, hints: "exact"}
+	for v := baseline.Static; v < baseline.NumVariants; v++ {
+		o := valid
+		o.variant = v.String()
+		if err := o.validate(); err != nil {
+			t.Fatalf("validate with -variant %q: %v", o.variant, err)
 		}
-		if v.String() != name {
-			t.Fatalf("variantByName(%q) = %v", name, v)
+		if got, _ := baseline.ParseVariant(o.variant); got != v {
+			t.Fatalf("-variant %q resolved to %v", o.variant, got)
 		}
 	}
-	if _, err := variantByName("unknown"); err == nil {
-		t.Fatal("unknown variant must error")
+	o := valid
+	o.variant = "unknown"
+	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "unknown variant") {
+		t.Fatalf("validate with -variant %q = %v, want an unknown-variant error", o.variant, err)
 	}
 }
 

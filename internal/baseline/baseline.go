@@ -9,6 +9,9 @@
 package baseline
 
 import (
+	"fmt"
+	"strings"
+
 	"taskstream/internal/config"
 	"taskstream/internal/core"
 	"taskstream/internal/mem"
@@ -55,6 +58,19 @@ func (v Variant) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseVariant resolves a variant display name, the inverse of
+// String. An unknown name is an error listing the valid set.
+func ParseVariant(name string) (Variant, error) {
+	var names []string
+	for v := Static; v < NumVariants; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+		names = append(names, v.String())
+	}
+	return 0, fmt.Errorf("baseline: unknown variant %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Configure returns the machine configuration and options realizing the

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"taskstream/internal/config"
@@ -50,6 +51,27 @@ func TestVariantNames(t *testing.T) {
 	for v := Static; v < NumVariants; v++ {
 		if v.String() != want[v] {
 			t.Fatalf("variant %d name %q, want %q", v, v.String(), want[v])
+		}
+	}
+}
+
+// TestParseVariant keeps the -variant parser every CLI shares in sync
+// with the enum: every variant resolves by its display name, and any
+// other name (case included) is an error listing the valid set.
+func TestParseVariant(t *testing.T) {
+	for v := Static; v < NumVariants; v++ {
+		got, err := ParseVariant(v.String())
+		if err != nil || got != v {
+			t.Fatalf("ParseVariant(%q) = %v, %v; want %v", v.String(), got, err, v)
+		}
+	}
+	for _, name := range []string{"", "unknown", "Delta"} {
+		_, err := ParseVariant(name)
+		if err == nil {
+			t.Fatalf("ParseVariant(%q) accepted an unknown name", name)
+		}
+		if !strings.Contains(err.Error(), "valid: static, dyn-rr, +lb, +lb+mc, delta") {
+			t.Fatalf("ParseVariant(%q) error %q does not list the valid set", name, err)
 		}
 	}
 }

@@ -375,12 +375,3 @@ func (c *coordinator) send(r *resolved, lane int) {
 	c.activeCount[r.task.Phase]++
 	c.Dispatched++
 }
-
-// laneBusy returns the per-lane busy-cycle vector for reporting.
-func (c *coordinator) laneBusy() []int64 {
-	out := make([]int64, len(c.m.lanes))
-	for i, l := range c.m.lanes {
-		out[i] = l.BusyCycles
-	}
-	return out
-}

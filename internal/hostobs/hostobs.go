@@ -3,9 +3,10 @@
 // counters, resolve and HTTP latency distributions, the simulation
 // run meter — as opposed to internal/obs, which observes simulated
 // cycles. It is a dependency-free, lock-cheap metrics registry:
-// counters and gauges are single atomics, histograms are bounded
-// log-scale bucket arrays of atomics, and the registry mutex is taken
-// only at (de)registration and export, never on the observation path.
+// counters are single atomics, gauges are callbacks read at export,
+// histograms are bounded log-scale bucket arrays of atomics, and the
+// registry mutex is taken only at registration and export, never on
+// the observation path.
 //
 // The cardinal contract is that host observation is feedback-free:
 // nothing in this package may alter simulation output, cache keys, or
@@ -39,8 +40,8 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds delta (callers must keep the counter monotone; use a Gauge
-// for values that go down).
+// Add adds delta (callers must keep the counter monotone; use a
+// GaugeFunc for values that go down).
 func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Value returns the current count.
@@ -51,56 +52,23 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // (runplan.Runner.Reset), not in production paths.
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// Gauge is an instantaneous value: either set explicitly or computed
-// by a callback at read time (a "function gauge"). The zero value is a
-// settable gauge at 0.
-type Gauge struct {
-	v  atomic.Int64
-	fn func() int64
-}
-
-// Set stores the gauge's value. Panics on a function gauge — its value
-// is owned by the callback.
-func (g *Gauge) Set(v int64) {
-	if g.fn != nil {
-		panic("hostobs: Set on a function gauge")
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g.fn != nil {
-		panic("hostobs: Add on a function gauge")
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (calling the callback on a function
-// gauge).
-func (g *Gauge) Value() int64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
-}
-
-// Histogram is a bounded log-scale latency histogram: a fixed,
-// strictly increasing slice of bucket upper bounds (in seconds) plus
-// an implicit +Inf overflow bucket, with atomic per-bucket counts and
-// an atomic nanosecond sum. Observations cost one binary search and
-// three atomic adds — no locks, no allocation.
+// Histogram is a bounded log-scale latency histogram over the
+// LatencyBuckets upper bounds plus an implicit +Inf overflow bucket,
+// with atomic per-bucket counts and an atomic nanosecond sum.
+// Observations cost one binary search and three atomic adds — no
+// locks, no allocation. The zero value is ready to use; registering it
+// in a Registry only names it for export.
 type Histogram struct {
-	bounds []float64      // upper bounds in seconds, strictly increasing
-	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	counts [len(LatencyBuckets) + 1]atomic.Int64 // last is the +Inf bucket
 	count  atomic.Int64
 	sumNS  atomic.Int64
 }
 
-// LatencyBuckets is the default bound set: a 1–2.5–5 log scale from
-// 1µs to 60s, wide enough to hold both sub-millisecond memory-tier
-// hits and minute-long cold simulations in one bounded array.
-var LatencyBuckets = []float64{
+// LatencyBuckets is every histogram's bound set, in seconds and
+// strictly increasing: a 1–2.5–5 log scale from 1µs to 60s, wide enough
+// to hold both sub-millisecond memory-tier hits and minute-long cold
+// simulations in one bounded array.
+var LatencyBuckets = [...]float64{
 	1e-6, 2.5e-6, 5e-6,
 	1e-5, 2.5e-5, 5e-5,
 	1e-4, 2.5e-4, 5e-4,
@@ -110,23 +78,6 @@ var LatencyBuckets = []float64{
 	1, 2.5, 5, 10, 30, 60,
 }
 
-// NewHistogram returns a histogram over bounds (seconds, strictly
-// increasing). An empty or nil bounds slice uses LatencyBuckets.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = LatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("hostobs: histogram bounds not strictly increasing at %d: %v", i, bounds))
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-}
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) { h.ObserveSeconds(d.Seconds()) }
 
@@ -134,7 +85,7 @@ func (h *Histogram) Observe(d time.Duration) { h.ObserveSeconds(d.Seconds()) }
 func (h *Histogram) ObserveSeconds(s float64) {
 	// Binary search for the first bound >= s; equal values land in the
 	// bucket whose upper bound they match (le semantics).
-	i := sort.SearchFloat64s(h.bounds, s)
+	i := sort.SearchFloat64s(LatencyBuckets[:], s)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sumNS.Add(int64(s * 1e9))
@@ -158,10 +109,6 @@ func (h *Histogram) Cumulative() []int64 {
 	}
 	return out
 }
-
-// Bounds returns the histogram's upper bounds in seconds (without the
-// implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // Reset zeroes all buckets; test-only, like Counter.Reset.
 func (h *Histogram) Reset() {
@@ -192,17 +139,19 @@ func (k metricKind) String() string {
 	}
 }
 
-// series is one registered (family, labels) instance.
+// series is one registered (family, labels) instance. Its instance
+// fields are written only under the registry lock.
 type series struct {
-	family string
 	labels string // rendered `k="v",...`, "" when unlabeled; the sort key
 	c      *Counter
-	g      *Gauge
+	g      func() int64 // a gauge's value, computed at export
 	h      *Histogram
 }
 
 // family groups every series sharing one metric name: they share a
-// HELP string and a type, and export together under one header.
+// HELP string and a type, and export together under one header. name,
+// help and kind are fixed at creation; series is guarded by the
+// registry lock.
 type family struct {
 	name   string
 	help   string
@@ -212,8 +161,8 @@ type family struct {
 
 // Registry is a named collection of metric series with deterministic
 // export. All methods are safe for concurrent use; the observation
-// types themselves (Counter, Gauge, Histogram) never touch the
-// registry lock.
+// types themselves (Counter, Histogram) never touch the registry
+// lock.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -245,8 +194,10 @@ func renderLabels(kv []string) string {
 }
 
 // lookup finds or creates the family and the series slot, enforcing
-// kind and help consistency across registrations of the same family.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *series {
+// kind consistency across registrations of the same family, and hands
+// the slot to fill while still holding the registry lock — so two
+// first uses of one series cannot both create its instance.
+func (r *Registry) lookup(name, help string, kind metricKind, labels []string, fill func(*series)) {
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -259,82 +210,81 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *
 	}
 	s := f.series[ls]
 	if s == nil {
-		s = &series{family: name, labels: ls}
+		s = &series{labels: ls}
 		f.series[ls] = s
 	}
-	return s
+	fill(s)
 }
 
 // Counter returns the counter series (family, labels...), creating it
 // on first use. labels are alternating key, value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	var c *Counter
+	r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+		c = s.c
+	})
+	return c
 }
 
 // RegisterCounter names an existing counter for export — the adoption
 // path runplan uses so one atomic serves both Counters() snapshots and
 // /metrics. Re-registering the same series replaces its instance.
 func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...string) {
-	r.lookup(name, help, kindCounter, labels).c = c
+	r.lookup(name, help, kindCounter, labels, func(s *series) { s.c = c })
 }
 
-// Gauge returns the settable gauge series (family, labels...),
-// creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
-}
-
-// GaugeFunc registers a function gauge whose value is computed by fn
-// at every export.
+// GaugeFunc registers a gauge whose value is computed by fn at every
+// export.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...string) {
-	r.lookup(name, help, kindGauge, labels).g = &Gauge{fn: fn}
+	r.lookup(name, help, kindGauge, labels, func(s *series) { s.g = fn })
 }
 
 // Histogram returns the histogram series (family, labels...), creating
-// it with the given bounds (nil = LatencyBuckets) on first use. The
-// bounds of an existing series are kept.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.h == nil {
-		s.h = NewHistogram(bounds)
-	}
-	return s.h
+// it on first use.
+func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
+	var h *Histogram
+	r.lookup(name, help, kindHistogram, labels, func(s *series) {
+		if s.h == nil {
+			s.h = &Histogram{}
+		}
+		h = s.h
+	})
+	return h
 }
 
 // RegisterHistogram names an existing histogram for export.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...string) {
-	r.lookup(name, help, kindHistogram, labels).h = h
+	r.lookup(name, help, kindHistogram, labels, func(s *series) { s.h = h })
 }
 
-// snapshot returns the families and their series in sorted order —
-// the one ordering both exporters share, which is what makes scrape
-// output stable.
-func (r *Registry) snapshot() []*family {
+// exported is one family as WritePrometheus renders it: its series
+// copied out under the registry lock and sorted by labels.
+type exported struct {
+	*family
+	rows []series
+}
+
+// snapshot copies every family's series under the registry lock,
+// families sorted by name and series by labels — the one ordering the
+// exporter renders, which is what makes scrape output stable. The
+// copies share the live instances, whose values are read after the
+// lock is released.
+func (r *Registry) snapshot() []exported {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	defer r.mu.Unlock()
+	out := make([]exported, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		e := exported{family: f, rows: make([]series, 0, len(f.series))}
+		for _, s := range f.series {
+			e.rows = append(e.rows, *s)
+		}
+		sort.Slice(e.rows, func(i, j int) bool { return e.rows[i].labels < e.rows[j].labels })
+		out = append(out, e)
 	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
-}
-
-// sortedSeries returns a family's series sorted by rendered labels.
-func (f *family) sortedSeries() []*series {
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -370,7 +320,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.rows {
 			switch f.kind {
 			case kindCounter:
 				if s.c == nil {
@@ -383,7 +333,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				if s.g == nil {
 					continue
 				}
-				if _, err := fmt.Fprintf(w, "%s %d\n", promName(f.name, s.labels), s.g.Value()); err != nil {
+				if _, err := fmt.Fprintf(w, "%s %d\n", promName(f.name, s.labels), s.g()); err != nil {
 					return err
 				}
 			case kindHistogram:
@@ -391,7 +341,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					continue
 				}
 				cum := s.h.Cumulative()
-				for i, b := range s.h.bounds {
+				for i, b := range LatencyBuckets {
 					if _, err := fmt.Fprintf(w, "%s %d\n",
 						promName(f.name+"_bucket", s.labels, "le", formatFloat(b)), cum[i]); err != nil {
 						return err

@@ -21,12 +21,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("reqs_total", "requests", "route", "/v1/run"); again != c {
 		t.Fatal("counter lookup did not return the existing instance")
 	}
-	g := r.Gauge("entries", "resident entries")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
+	entries := int64(7)
+	r.GaugeFunc("entries", "resident entries", func() int64 { return entries })
+	entries -= 2 // a gauge reads its callback at export, not at registration
 	r.GaugeFunc("live", "computed", func() int64 { return 42 })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -46,7 +43,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestHistogramBucketsMonotone(t *testing.T) {
-	h := NewHistogram(nil)
+	var h Histogram
 	for _, d := range []time.Duration{
 		500 * time.Nanosecond, // below the first bound
 		3 * time.Microsecond,
@@ -73,12 +70,20 @@ func TestHistogramBucketsMonotone(t *testing.T) {
 	}
 }
 
+// TestHistogramBoundaryLandsInLEBucket pins le semantics on every
+// bound: an observation exactly on LatencyBuckets[i] counts in bucket
+// i, not i+1. The binary search needs the bounds strictly increasing.
 func TestHistogramBoundaryLandsInLEBucket(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.01})
-	h.ObserveSeconds(0.001) // exactly on a bound: le semantics include it
-	cum := h.Cumulative()
-	if cum[0] != 1 {
-		t.Fatalf("boundary observation missed its le bucket: %v", cum)
+	for i, b := range LatencyBuckets {
+		if i > 0 && b <= LatencyBuckets[i-1] {
+			t.Fatalf("LatencyBuckets not strictly increasing at %d: %v", i, LatencyBuckets)
+		}
+		var h Histogram
+		h.ObserveSeconds(b)
+		cum := h.Cumulative()
+		if cum[i] != 1 || (i > 0 && cum[i-1] != 0) {
+			t.Fatalf("observation of %vs missed its le bucket %d: %v", b, i, cum)
+		}
 	}
 }
 
@@ -91,8 +96,8 @@ func TestStableOrderAcrossScrapes(t *testing.T) {
 	r.Counter("zeta_total", "z", "tier", "miss")
 	r.Counter("alpha_total", "a")
 	r.Counter("zeta_total", "z", "tier", "disk")
-	r.Histogram("mid_seconds", "m", nil, "route", "/b")
-	r.Histogram("mid_seconds", "m", nil, "route", "/a")
+	r.Histogram("mid_seconds", "m", "route", "/b")
+	r.Histogram("mid_seconds", "m", "route", "/a")
 
 	var a, b bytes.Buffer
 	if err := r.WritePrometheus(&a); err != nil {
@@ -123,8 +128,8 @@ func TestStableOrderAcrossScrapes(t *testing.T) {
 func TestPrometheusTextWellFormed(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "a", "k", "v").Inc()
-	r.Gauge("g", "g").Set(-3)
-	r.Histogram("h_seconds", "h", nil, "route", "/x").Observe(time.Second)
+	r.GaugeFunc("g", "g", func() int64 { return -3 })
+	r.Histogram("h_seconds", "h", "route", "/x").Observe(time.Second)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -166,24 +171,26 @@ func jsonNumberParse(s string, v *float64) (int, error) {
 	return 1, nil
 }
 
-// TestConcurrentObservation exercises the lock-free observation path
-// under the race detector.
+// TestConcurrentObservation exercises the observation path under the
+// race detector the way delta-serve's middleware drives it: every
+// request looks its series up by labels, so first uses of one series
+// race each other and the scrapes running beside them.
 func TestConcurrentObservation(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n_total", "n")
-	h := r.Histogram("d_seconds", "d", nil)
+	codes := []string{"200", "400", "404", "500"}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
-				h.Observe(time.Microsecond)
+				code := codes[i%len(codes)]
+				r.Counter("n_total", "n", "code", code).Inc()
+				r.Histogram("d_seconds", "d", "code", code).Observe(time.Microsecond)
 			}
 		}()
 	}
-	// Concurrent scrapes while observations are in flight.
+	// Concurrent scrapes while series are created and observed.
 	for i := 0; i < 10; i++ {
 		var buf bytes.Buffer
 		if err := r.WritePrometheus(&buf); err != nil {
@@ -191,8 +198,13 @@ func TestConcurrentObservation(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 {
-		t.Fatalf("lost observations: counter=%d hist=%d", c.Value(), h.Count())
+	var n, d int64
+	for _, code := range codes {
+		n += r.Counter("n_total", "n", "code", code).Value()
+		d += r.Histogram("d_seconds", "d", "code", code).Count()
+	}
+	if n != 8000 || d != 8000 {
+		t.Fatalf("lost observations: counter=%d hist=%d", n, d)
 	}
 }
 
@@ -204,5 +216,5 @@ func TestKindMismatchPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("x_total", "x")
-	r.Gauge("x_total", "x")
+	r.GaugeFunc("x_total", "x", func() int64 { return 0 })
 }

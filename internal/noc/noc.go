@@ -32,10 +32,6 @@ const (
 	KindMemResp
 	// KindForward is producer→consumer task-stream data.
 	KindForward
-	// KindSpawn is a lane→coordinator new-task announcement.
-	KindSpawn
-	// KindCtl is small control traffic (completion, credit, locate).
-	KindCtl
 )
 
 // HeaderBytes is the per-message header overhead added to payload size.
@@ -67,7 +63,6 @@ type link struct {
 	// allocates).
 	blocked    Message
 	hasBlocked bool
-	flits      int64
 	// idx is the link's position in allLinks — the component index
 	// occupancy events carry.
 	idx int32
@@ -368,7 +363,6 @@ func (m *Mesh) Tick(now sim.Cycle) {
 		}
 		ser := m.serCycles(msg)
 		l.busyUntil = now + ser
-		l.flits += int64(ser)
 		m.FlitCycles += int64(ser)
 		l.inflight.SendAt(now+ser+sim.Cycle(m.cfg.LinkLatency), msg)
 		if m.obs != nil {

@@ -38,7 +38,7 @@ func drain(t *testing.T, m *Mesh, maxCycles int) map[int][]Message {
 
 func TestUnicastDelivery(t *testing.T) {
 	m := NewMesh(cfg(), 9) // 3x3
-	msg := Message{Kind: KindCtl, Src: 0, Dests: DestMask(8), Bytes: 8, ID: 42}
+	msg := Message{Kind: KindMemReq, Src: 0, Dests: DestMask(8), Bytes: 8, ID: 42}
 	if !m.TryInject(msg) {
 		t.Fatal("inject failed")
 	}

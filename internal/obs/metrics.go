@@ -7,17 +7,13 @@ import (
 	"taskstream/internal/stats"
 )
 
-// Metrics is the per-component registry folded incrementally from the
-// event stream: per-lane per-cause cycle breakdowns, per-channel and
-// per-link occupancy, and machine-wide event counts. It is built by
-// Sink.Emit; read it through Sink.Metrics after a run.
+// Metrics is the registry folded incrementally from the event stream:
+// per-lane per-cause cycle breakdowns and machine-wide event counts.
+// It is built by Sink.Emit; read it through Sink.Metrics after a run.
 type Metrics struct {
 	// laneCause[lane][cause] is the cycles lane spent in cause-state
 	// spans (KindLaneState Dur totals).
 	laneCause map[int32]*[NumCauses]int64
-	// linkBusy and dramBusy are per-component occupied cycles.
-	linkBusy map[int32]int64
-	dramBusy map[int32]int64
 
 	// Machine-wide event counts.
 	Dispatches      int64
@@ -34,11 +30,7 @@ type Metrics struct {
 }
 
 func newMetrics() Metrics {
-	return Metrics{
-		laneCause: make(map[int32]*[NumCauses]int64),
-		linkBusy:  make(map[int32]int64),
-		dramBusy:  make(map[int32]int64),
-	}
+	return Metrics{laneCause: make(map[int32]*[NumCauses]int64)}
 }
 
 // fold accumulates one event into the registry.
@@ -69,11 +61,9 @@ func (m *Metrics) fold(ev Event) {
 	case KindNoCHop:
 		m.NoCHops++
 		m.NoCBusyCycles += ev.Dur
-		m.linkBusy[ev.Comp] += ev.Dur
 	case KindDRAM:
 		m.DRAMServices++
 		m.DRAMBusyCycles += ev.Dur
-		m.dramBusy[ev.Comp] += ev.Dur
 	}
 }
 

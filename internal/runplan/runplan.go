@@ -50,20 +50,22 @@ func ForVariant(nb workload.NamedBuilder, v baseline.Variant, cfg config.Config)
 	return Spec{Workload: nb, Config: mcfg, Opts: opts}
 }
 
-// modelRevision names the simulated machine model a result was
+// ModelRevision names the simulated machine model a result was
 // computed by. It prefixes every Spec.Key, so a persistent Store filled
 // by a build of an earlier model misses instead of serving results
-// this model no longer produces. Bump it whenever a simulated result
-// changes: any line of bench_results.txt or of a policy golden.
+// this model no longer produces; store.DiskStore also names its entry
+// files with it, so it can delete another model's entries on open.
+// Bump it whenever a simulated result changes: any line of
+// bench_results.txt or of a policy golden.
 // TestModelRevisionTripwire fails until the bump is made.
-const modelRevision = "r1"
+const ModelRevision = "r1"
 
 // Key returns the spec's content address: the model revision, the
 // workload name, and the canonical encodings of config and normalized
 // options. No maps are ranged anywhere on this path, so the key is
 // stable across processes and runs.
 func (s Spec) Key() string {
-	return modelRevision + "|" + s.Workload.Name + "|" + s.Config.Canonical() + "|" + s.Opts.CacheKey()
+	return ModelRevision + "|" + s.Workload.Name + "|" + s.Config.Canonical() + "|" + s.Opts.CacheKey()
 }
 
 // Cacheable reports whether the spec may be memoized; observed runs
@@ -205,16 +207,12 @@ type Runner struct {
 	// lat[src] is the wall-clock resolve latency distribution of
 	// requests answered with that provenance — always recorded (three
 	// atomic adds per Run), named for export only via InstrumentHost.
-	lat [5]*hostobs.Histogram
+	lat [5]hostobs.Histogram
 }
 
 // NewRunner returns an empty, memoizing runner.
 func NewRunner() *Runner {
-	r := &Runner{flights: make(map[string]*flight)}
-	for i := range r.lat {
-		r.lat[i] = hostobs.NewHistogram(nil)
-	}
-	return r
+	return &Runner{flights: make(map[string]*flight)}
 }
 
 // counterFor maps a provenance to its tier counter.
@@ -251,7 +249,7 @@ func (r *Runner) InstrumentHost(reg *hostobs.Registry) {
 	)
 	for _, src := range []Source{SourceExecuted, SourceMemory, SourceDisk, SourceDeduped, SourceBypass} {
 		reg.RegisterCounter(cname, chelp, r.counterFor(src), "tier", src.String())
-		reg.RegisterHistogram(hname, hhelp, r.lat[src], "tier", src.String())
+		reg.RegisterHistogram(hname, hhelp, &r.lat[src], "tier", src.String())
 	}
 	reg.GaugeFunc("runner_memory_entries", "In-memory run-cache entries (completed or in flight).",
 		func() int64 { return int64(r.Len()) })
@@ -296,8 +294,8 @@ func (r *Runner) Reset() {
 	r.dedups.Reset()
 	r.bypasses.Reset()
 	r.diskHits.Reset()
-	for _, h := range r.lat {
-		h.Reset()
+	for i := range r.lat {
+		r.lat[i].Reset()
 	}
 }
 

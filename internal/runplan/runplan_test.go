@@ -62,15 +62,15 @@ var oracleFiles = []string{
 	"../baseline/testdata/static_policy_golden.txt",
 }
 
-// oracleDigests records, per modelRevision, the SHA-256 of the
+// oracleDigests records, per ModelRevision, the SHA-256 of the
 // oracleFiles concatenated in order.
 var oracleDigests = map[string]string{
 	"r1": "e5cf5155b8b77006aee2aceb70aecce7aff394e819e689d344827bb7b566d207",
 }
 
-// TestModelRevisionTripwire ties modelRevision to the committed
+// TestModelRevisionTripwire ties ModelRevision to the committed
 // results: a change that moves any simulated result changes the
-// digest, and must bump modelRevision so persistent stores filled by
+// digest, and must bump ModelRevision so persistent stores filled by
 // the earlier model stop answering.
 func TestModelRevisionTripwire(t *testing.T) {
 	h := sha256.New()
@@ -82,13 +82,13 @@ func TestModelRevisionTripwire(t *testing.T) {
 		h.Write(b)
 	}
 	got := hex.EncodeToString(h.Sum(nil))
-	want, ok := oracleDigests[modelRevision]
+	want, ok := oracleDigests[ModelRevision]
 	if !ok {
-		t.Fatalf("modelRevision %q has no recorded oracle digest; record %s in oracleDigests", modelRevision, got)
+		t.Fatalf("ModelRevision %q has no recorded oracle digest; record %s in oracleDigests", ModelRevision, got)
 	}
 	if got != want {
-		t.Fatalf("simulated results changed (oracle sha256 %s, recorded %s under %q): bump modelRevision and record the new digest",
-			got, want, modelRevision)
+		t.Fatalf("simulated results changed (oracle sha256 %s, recorded %s under %q): bump ModelRevision and record the new digest",
+			got, want, ModelRevision)
 	}
 }
 

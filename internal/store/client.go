@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -84,97 +83,34 @@ func (c *Client) RunWire(ws runplan.WireSpec) (core.Report, string, error) {
 	return rep, resp.Cached, nil
 }
 
-// Suite posts a batch to /v1/suite and reassembles the streamed
-// completion-order items into request order. Reports and provenance
-// come back index-aligned with specs; the first per-item error fails
-// the batch (after the stream drains).
-func (c *Client) Suite(specs []runplan.WireSpec) ([]core.Report, []string, error) {
-	body, err := json.Marshal(SuiteRequest{Specs: specs})
-	if err != nil {
-		return nil, nil, err
-	}
-	httpResp, err := c.hc.Post(c.base+"/v1/suite", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, fmt.Errorf("store client: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(httpResp.Body)
-		return nil, nil, fmt.Errorf("store client: suite: HTTP %d: %s", httpResp.StatusCode, bytes.TrimSpace(b))
-	}
-	reports := make([]core.Report, len(specs))
-	cached := make([]string, len(specs))
-	seen := make([]bool, len(specs))
-	var firstErr error
-	sc := bufio.NewScanner(httpResp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // reports for big configs are wide
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var item SuiteItem
-		if err := json.Unmarshal(line, &item); err != nil {
-			return nil, nil, fmt.Errorf("store client: suite stream: %v", err)
-		}
-		if item.Index < 0 || item.Index >= len(specs) || seen[item.Index] {
-			return nil, nil, fmt.Errorf("store client: suite stream: bad index %d", item.Index)
-		}
-		seen[item.Index] = true
-		if item.Error != "" {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("server: %s: %s", specs[item.Index].Workload, item.Error)
-			}
-			continue
-		}
-		rep, err := core.DecodeReport(item.Report)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store client: %s: %v", specs[item.Index].Workload, err)
-		}
-		reports[item.Index] = rep
-		cached[item.Index] = item.Cached
-		c.tally(item.Cached)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("store client: suite stream: %w", err)
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, nil, fmt.Errorf("store client: suite stream ended without answering spec %d (%s)", i, specs[i].Workload)
-		}
-	}
-	return reports, cached, nil
-}
-
-// Stats fetches the server's /v1/stats snapshot.
-func (c *Client) Stats() (StatsResponse, error) {
-	httpResp, err := c.hc.Get(c.base + "/v1/stats")
-	if err != nil {
-		return StatsResponse{}, fmt.Errorf("store client: %w", err)
-	}
-	defer httpResp.Body.Close()
-	var resp StatsResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return StatsResponse{}, fmt.Errorf("store client: stats: %v", err)
-	}
-	return resp, nil
-}
-
-// WaitReady polls /v1/stats until the server answers or the timeout
-// elapses — the startup handshake scripts use.
+// WaitReady polls GET /metrics until the server answers 200 or the
+// timeout elapses — the startup handshake scripts use.
 func (c *Client) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if _, err := c.Stats(); err == nil {
+		err := c.ping()
+		if err == nil {
 			return nil
-		} else if time.Now().After(deadline) {
+		}
+		if time.Now().After(deadline) {
 			return fmt.Errorf("store client: server at %s not ready after %v: %w", c.base, timeout, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// ping GETs /metrics once, succeeding only on a 200.
+func (c *Client) ping() error {
+	resp, err := c.hc.Get(c.base + "/metrics")
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body) // drain so the connection is reused
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
+	}
+	return nil
 }
 
 func (c *Client) tally(cached string) {

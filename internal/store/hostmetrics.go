@@ -8,16 +8,17 @@ import (
 	"strconv"
 	"time"
 
-	"taskstream/internal/hostobs"
 	"taskstream/internal/sim"
 )
 
 // Host-side observability for the delta-serve surface (DESIGN.md §18):
 // every request is counted, timed, and sized into the server's hostobs
-// registry, exported at GET /metrics (Prometheus text), and optionally
-// logged one structured line per request. All of it observes the host
-// process only — cache keys, reports, and simulation results are
-// untouched.
+// registry and optionally logged one structured line per request.
+// GET /metrics (Prometheus text) is the daemon's only read surface: it
+// exports those HTTP series beside the runner's tier counters, the
+// disk store's accounting and the sim run meter. All of it observes
+// the host process only — cache keys, reports, and simulation results
+// are untouched.
 
 const (
 	helpHTTPReqs  = "HTTP requests served, by route and status code."
@@ -29,10 +30,8 @@ const (
 // else collapses into "other" so an unauthenticated scanner cannot
 // inflate series cardinality.
 var knownRoutes = map[string]bool{
-	"/v1/run":   true,
-	"/v1/suite": true,
-	"/v1/stats": true,
-	"/metrics":  true,
+	"/v1/run":  true,
+	"/metrics": true,
 }
 
 func routeLabel(path string) string {
@@ -58,9 +57,8 @@ func infoFrom(ctx context.Context) *reqInfo {
 	return ri
 }
 
-// obsWriter measures a response as it streams: final status code and
-// body bytes. It forwards Flush so the /v1/suite ndjson stream keeps
-// its per-item flushing through the instrumentation layer.
+// obsWriter measures a response as it is written: final status code
+// and body bytes.
 type obsWriter struct {
 	rw     http.ResponseWriter
 	status int
@@ -85,12 +83,6 @@ func (o *obsWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-func (o *obsWriter) Flush() {
-	if f, ok := o.rw.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // observe is the middleware around the mux: count, time, and size the
 // request, then emit the access-log line.
 func (s *Server) observe(w http.ResponseWriter, r *http.Request) {
@@ -103,7 +95,7 @@ func (s *Server) observe(w http.ResponseWriter, r *http.Request) {
 
 	s.host.Counter("http_requests_total", helpHTTPReqs,
 		"route", route, "code", strconv.Itoa(ow.status)).Inc()
-	s.host.Histogram("http_request_seconds", helpHTTPLat, nil, "route", route).Observe(d)
+	s.host.Histogram("http_request_seconds", helpHTTPLat, "route", route).Observe(d)
 	s.host.Counter("http_response_bytes_total", helpHTTPBytes, "route", route).Add(ow.bytes)
 	s.logRequest(ri, r.Method, route, ow.status, ow.bytes, d)
 }
@@ -154,16 +146,11 @@ func (s *Server) logRequest(ri *reqInfo, method, route string, status int, bytes
 	fmt.Fprintln(s.logW, line)
 }
 
-// Host returns the server's metrics registry, for callers that want to
-// add their own series (delta-serve's sim host-profiling gauges) or
-// scrape in-process (tests).
-func (s *Server) Host() *hostobs.Registry { return s.host }
-
-// EnableHostProf exports the process-wide sim run meter as gauges, so
-// a /metrics scrape shows how many simulations ran, how many of their
-// cycles were executed versus fast-forwarded, and the wall time spent
-// inside them.
-func (s *Server) EnableHostProf() {
+// instrumentHostProf exports the process-wide sim run meter as
+// gauges, so a /metrics scrape shows how many simulations ran, how
+// many of their cycles were executed versus fast-forwarded, and the
+// wall time spent inside them.
+func (s *Server) instrumentHostProf() {
 	snap := func(f func(sim.HostProf) int64) func() int64 {
 		return func() int64 { return f(sim.HostProfSnapshot()) }
 	}

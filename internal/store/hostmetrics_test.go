@@ -67,35 +67,41 @@ func promValue(t *testing.T, scrape, series string) int64 {
 	return 0
 }
 
-// TestServerMetricsReconcileWithStats is the end-to-end reconciliation
-// contract: after a warm pass, /metrics tier counters equal the
-// /v1/stats counters — they are the same atomics.
+// TestServerMetricsReconcileWithStats is the reconciliation contract:
+// after a warm pass, every runner and store series on /metrics equals
+// the in-process Counters(), Len() and DiskStore.Stats() — they read
+// the same atomics and tallies.
 func TestServerMetricsReconcileWithStats(t *testing.T) {
-	c, _, _ := newTestService(t)
+	c, r, d := newTestService(t)
 	ws := wireSpec(t, histSpec())
 	for i := 0; i < 3; i++ { // 1 miss + 2 memory hits
 		if _, _, err := c.RunWire(ws); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
 	code, scrape := get(t, c.base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics returned %d", code)
 	}
+	rc, st := r.Counters(), d.Stats()
 	for series, want := range map[string]int64{
-		`runner_resolves_total{tier="miss"}`:   st.Counters.Misses,
-		`runner_resolves_total{tier="memory"}`: st.Counters.Hits,
-		`runner_resolves_total{tier="disk"}`:   st.Counters.DiskHits,
-		`runner_resolves_total{tier="dedup"}`:  st.Counters.Dedups,
-		`runner_resolves_total{tier="bypass"}`: st.Counters.Bypasses,
-		`runner_memory_entries`:                int64(st.MemoryEntries),
+		`runner_resolves_total{tier="miss"}`:   rc.Misses,
+		`runner_resolves_total{tier="memory"}`: rc.Hits,
+		`runner_resolves_total{tier="disk"}`:   rc.DiskHits,
+		`runner_resolves_total{tier="dedup"}`:  rc.Dedups,
+		`runner_resolves_total{tier="bypass"}`: rc.Bypasses,
+		`runner_memory_entries`:                int64(r.Len()),
+		`store_entries`:                        int64(st.Entries),
+		`store_bytes`:                          st.Bytes,
+		`store_max_bytes`:                      st.MaxBytes,
+		`store_loads`:                          st.Loads,
+		`store_load_hits`:                      st.LoadHits,
+		`store_corrupt`:                        st.Corrupt,
+		`store_saves`:                          st.Saves,
+		`store_evictions`:                      st.Evictions,
 	} {
 		if got := promValue(t, scrape, series); got != want {
-			t.Errorf("%s = %d, /v1/stats says %d", series, got, want)
+			t.Errorf("%s = %d, in-process value is %d", series, got, want)
 		}
 	}
 	if got := promValue(t, scrape, `runner_resolves_total{tier="miss"}`); got != 1 {
@@ -112,23 +118,20 @@ func TestServerMetricsReconcileWithStats(t *testing.T) {
 	if got := promValue(t, scrape, `http_requests_total{route="/v1/run",code="200"}`); got != 3 {
 		t.Errorf("/v1/run request count = %d, want 3", got)
 	}
-	// Disk gauges are exported when a store is attached.
 	if got := promValue(t, scrape, "store_saves"); got != 1 {
 		t.Errorf("store_saves = %d, want 1", got)
 	}
 }
 
-// TestServerHostProfMetrics pins the profiling surface of /metrics:
-// one served miss is one metered run whose executed and fast-forwarded
-// cycles add up to the served report's cycle count.
+// TestServerHostProfMetrics pins the profiling surface of /metrics, on
+// by default: one served miss is one metered run whose executed and
+// fast-forwarded cycles add up to the served report's cycle count.
 func TestServerHostProfMetrics(t *testing.T) {
 	t.Cleanup(sim.ResetHostProf)
 	sim.ResetHostProf()
 	r := runplan.NewRunner()
 	r.SetDisabled(false)
-	srv := NewServer(r, nil, 1)
-	srv.EnableHostProf()
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewServer(r, nil, 1))
 	t.Cleanup(ts.Close)
 	rep, cached, err := NewClient(ts.URL).RunWire(wireSpec(t, histSpec()))
 	if err != nil {
@@ -154,7 +157,8 @@ func TestServerHostProfMetrics(t *testing.T) {
 // TestServerMetricsStableAndParseable pins the scrape surface itself:
 // two idle scrapes are byte-identical, every histogram's cumulative
 // buckets are monotone, unknown paths fold into the "other" route label
-// instead of minting new series, and /metrics is the only scrape route.
+// instead of minting new series, /metrics is the only read route and
+// /v1/run the only run route.
 func TestServerMetricsStableAndParseable(t *testing.T) {
 	c, _, _ := newTestService(t)
 	if _, _, err := c.RunWire(wireSpec(t, histSpec())); err != nil {
@@ -213,12 +217,22 @@ func TestServerMetricsStableAndParseable(t *testing.T) {
 		}
 	}
 
-	if code, _ := get(t, c.base+"/debug/vars"); code != http.StatusNotFound {
-		t.Fatalf("GET /debug/vars returned %d, want 404", code)
+	for _, path := range []string{"/debug/vars", "/v1/stats"} {
+		if code, _ := get(t, c.base+path); code != http.StatusNotFound {
+			t.Fatalf("GET %s returned %d, want 404", path, code)
+		}
+	}
+	resp, err := http.Post(c.base+"/v1/suite", "application/json", strings.NewReader(`{"specs":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/suite returned %d, want 404", resp.StatusCode)
 	}
 
-	// Write methods are rejected on the read-only surfaces.
-	resp, err := http.Post(c.base+"/metrics", "text/plain", nil)
+	// Write methods are rejected on the read surface.
+	resp, err = http.Post(c.base+"/metrics", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +264,7 @@ func TestServerAccessLog(t *testing.T) {
 	if _, _, err := c.RunWire(wireSpec(t, histSpec())); err != nil {
 		t.Fatal(err)
 	}
-	get(t, ts.URL+"/v1/stats")
+	get(t, ts.URL+"/metrics")
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -286,28 +300,5 @@ func TestServerAccessLog(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "POST /v1/run 200") || !strings.Contains(out, "cached=memory") {
 		t.Fatalf("text access log missing fields:\n%s", out)
-	}
-}
-
-// TestObsWriterFlushPassthrough pins that the metrics wrapper keeps
-// http.Flusher visible — without it, /v1/suite would stop streaming
-// per-item.
-func TestObsWriterFlushPassthrough(t *testing.T) {
-	rec := httptest.NewRecorder()
-	var w http.ResponseWriter = &obsWriter{rw: rec, status: 200}
-	if _, ok := w.(http.Flusher); !ok {
-		t.Fatal("obsWriter does not implement http.Flusher")
-	}
-	w.(http.Flusher).Flush()
-	if !rec.Flushed {
-		t.Fatal("Flush did not reach the underlying writer")
-	}
-	n, err := w.Write([]byte("hello"))
-	if err != nil || n != 5 {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	ow := w.(*obsWriter)
-	if ow.bytes != 5 || ow.status != 200 {
-		t.Fatalf("obsWriter accounting wrong: %+v", ow)
 	}
 }

@@ -8,17 +8,14 @@ import (
 
 // The delta-serve HTTP/JSON API, version 1:
 //
-//	POST /v1/run    RunRequest  → RunResponse
-//	POST /v1/suite  SuiteRequest → newline-delimited SuiteItem stream
-//	GET  /v1/stats  → StatsResponse
+//	POST /v1/run   RunRequest → RunResponse
+//	GET  /metrics  Prometheus text exposition (hostmetrics.go)
 //
-// /v1/run answers one spec; concurrent requests for the same uncached
-// spec single-flight through the server's shared runner, so N clients
-// cost one simulation. /v1/suite answers a batch: items stream back as
-// chunked JSON lines in completion order, each tagged with its request
-// index, so a client watches per-spec progress without waiting for the
-// slowest run. Simulation failures are per-item (the stream keeps
-// going); only a malformed request fails the call as a whole.
+// /v1/run is the one run route: it answers one spec, and concurrent
+// requests for the same uncached spec single-flight through the
+// server's shared runner, so N clients cost one simulation. /metrics
+// is the one read surface: runner tiers, disk-store accounting, the
+// sim run meter and per-route HTTP series.
 
 // RunRequest asks for one spec.
 type RunRequest struct {
@@ -35,39 +32,4 @@ type RunResponse struct {
 	Cached string          `json:"cached,omitempty"`
 	Report json.RawMessage `json:"report,omitempty"`
 	Error  string          `json:"error,omitempty"`
-}
-
-// SuiteRequest asks for a batch of specs.
-type SuiteRequest struct {
-	Specs []runplan.WireSpec `json:"specs"`
-}
-
-// SuiteItem is one line of the /v1/suite response stream: the
-// RunResponse for Specs[Index].
-type SuiteItem struct {
-	Index int `json:"index"`
-	RunResponse
-}
-
-// StatsResponse is the /v1/stats snapshot: the runner's counters
-// (extended with disk hits), its resident entry count, and — when a
-// persistent store is attached — the store's size and accounting.
-type StatsResponse struct {
-	Counters      runplan.Counters `json:"counters"`
-	MemoryEntries int              `json:"memory_entries"`
-	Store         *StoreStats      `json:"store,omitempty"`
-}
-
-// CacheServedFraction reports the share of cache-resolvable requests
-// (hits + dedups + disk hits) among all spec resolutions the runner
-// answered, bypasses excluded — the number the warm-store CI gate
-// checks against its ≥95% floor.
-func (s StatsResponse) CacheServedFraction() float64 {
-	c := s.Counters
-	served := c.Hits + c.Dedups + c.DiskHits
-	total := served + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(served) / float64(total)
 }

@@ -54,10 +54,9 @@ func NewServer(runner *runplan.Runner, disk *DiskStore, workers int) *Server {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/run", s.handleRun)
-	s.mux.HandleFunc("/v1/suite", s.handleSuite)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	runner.InstrumentHost(s.host)
+	s.instrumentHostProf()
 	if disk != nil {
 		s.instrumentDisk()
 	}
@@ -94,11 +93,11 @@ func (s *Server) resolve(ws runplan.WireSpec) RunResponse {
 	return RunResponse{Key: key, Cached: src.String(), Report: b}
 }
 
-// maxRequestBytes bounds a /v1/run or /v1/suite request body. One
-// suite wire spec marshals to about 600 B, so the bound admits batches
-// of tens of thousands of specs while keeping one client from making
-// the daemon buffer an arbitrarily large JSON document.
-const maxRequestBytes = 16 << 20
+// maxRequestBytes bounds a /v1/run request body, which carries one
+// spec. A default-config wire spec marshals to about 500 B, so the
+// bound leaves two orders of magnitude of headroom while keeping one
+// client from making the daemon buffer an arbitrarily large document.
+const maxRequestBytes = 64 << 10
 
 // decodeRequest decodes r's JSON body into v, reading at most
 // maxRequestBytes. On failure it answers the request itself — 413 for
@@ -144,63 +143,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, status, resp)
-}
-
-// handleSuite implements POST /v1/suite: a batch of specs in, one
-// SuiteItem JSON line out per spec, streamed in completion order and
-// flushed per item. Specs fan out under the worker bound; duplicate
-// specs inside one batch (or across concurrent batches) single-flight
-// through the shared runner.
-func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req SuiteRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	var writeMu sync.Mutex
-	enc := json.NewEncoder(w)
-	emit := func(item SuiteItem) {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		enc.Encode(item) // Encode appends the newline delimiter
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	var wg sync.WaitGroup
-	for i, ws := range req.Specs {
-		wg.Add(1)
-		go func(i int, ws runplan.WireSpec) {
-			defer wg.Done()
-			emit(SuiteItem{Index: i, RunResponse: s.resolve(ws)})
-		}(i, ws)
-	}
-	wg.Wait()
-}
-
-// handleStats implements GET /v1/stats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	resp := StatsResponse{
-		Counters:      s.runner.Counters(),
-		MemoryEntries: s.runner.Len(),
-	}
-	if s.disk != nil {
-		st := s.disk.Stats()
-		resp.Store = &st
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"taskstream/internal/baseline"
 	"taskstream/internal/config"
+	"taskstream/internal/core"
 	"taskstream/internal/runplan"
 	"taskstream/internal/workload"
 )
@@ -159,98 +161,92 @@ func TestServerDefaultPolicy(t *testing.T) {
 }
 
 // TestServerRejectsOversizedBodies pins the request-body bound: a body
-// past maxRequestBytes is refused with 413 and a RunResponse error on
-// both POST routes, before any spec resolves.
+// past maxRequestBytes is refused with 413 and a RunResponse error
+// before any spec resolves.
 func TestServerRejectsOversizedBodies(t *testing.T) {
 	c, r, _ := newTestService(t)
 	body := []byte(`{"spec":{"workload":"` + strings.Repeat("a", maxRequestBytes) + `"}}`)
-	for _, route := range []string{"/v1/run", "/v1/suite"} {
-		resp, err := http.Post(c.base+route, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rr RunResponse
-		err = json.NewDecoder(resp.Body).Decode(&rr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: oversized body returned HTTP %d, want 413", route, resp.StatusCode)
-		}
-		if err != nil || rr.Error == "" {
-			t.Fatalf("%s: want a RunResponse error, got %+v (decode: %v)", route, rr, err)
-		}
+	resp, err := http.Post(c.base+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr RunResponse
+	err = json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body returned HTTP %d, want 413", resp.StatusCode)
+	}
+	if err != nil || rr.Error == "" {
+		t.Fatalf("want a RunResponse error, got %+v (decode: %v)", rr, err)
 	}
 	if n := r.Counters().Misses; n != 0 {
-		t.Fatalf("oversized requests executed %d simulations", n)
+		t.Fatalf("oversized request executed %d simulations", n)
+	}
+
+	// The bound still admits any real spec with room to spare.
+	spec, err := json.Marshal(RunRequest{Spec: wireSpec(t, histSpec())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec)*100 > maxRequestBytes {
+		t.Fatalf("a default-config request is %d B, within 100x of the %d B bound", len(spec), maxRequestBytes)
 	}
 }
 
-func TestServerSuiteStreamAndStats(t *testing.T) {
-	c, _, _ := newTestService(t)
-	cfg := config.Default8()
-	specs := []runplan.WireSpec{
-		wireSpec(t, runplan.ForVariant(*workload.ByName("hist"), baseline.Static, cfg)),
-		wireSpec(t, runplan.ForVariant(*workload.ByName("hist"), baseline.Delta, cfg)),
-		// A duplicate of spec 1: the server must answer it from the
-		// same flight or entry, never a second execution.
-		wireSpec(t, runplan.ForVariant(*workload.ByName("hist"), baseline.Delta, cfg)),
+// TestServerConcurrentRunsSingleMiss pins single-flight across /v1/run
+// requests: N concurrent clients asking for one uncached spec cost one
+// simulation, get byte-identical reports, and leave one store entry.
+func TestServerConcurrentRunsSingleMiss(t *testing.T) {
+	c, r, d := newTestService(t)
+	ws := wireSpec(t, runplan.ForVariant(*workload.ByName("hist"), baseline.Delta, config.Default8()))
+
+	const n = 8
+	reps := make([][]byte, n)
+	cached := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, src, err := c.RunWire(ws)
+			if err == nil {
+				reps[i], err = core.EncodeReport(rep)
+			}
+			cached[i], errs[i] = src, err
+		}(i)
 	}
-	cold, cachedCold, err := c.Suite(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold[1].Cycles != cold[2].Cycles {
-		t.Fatalf("duplicate specs answered differently: %d vs %d", cold[1].Cycles, cold[2].Cycles)
-	}
-	execs := 0
-	for _, p := range cachedCold {
-		if p == "miss" {
-			execs++
+	wg.Wait()
+	misses := 0
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(reps[i], reps[0]) {
+			t.Fatalf("request %d got a different report than request 0", i)
+		}
+		switch cached[i] {
+		case "miss":
+			misses++
+		case "dedup", "memory":
+		default:
+			t.Fatalf("request %d provenance = %q", i, cached[i])
 		}
 	}
-	if execs != 2 {
-		t.Fatalf("cold 3-spec batch with 1 duplicate executed %d specs (%v), want 2", execs, cachedCold)
+	if misses != 1 {
+		t.Fatalf("%d concurrent requests of one spec executed %d times (%v), want 1", n, misses, cached)
 	}
-
-	warm, cachedWarm, err := c.Suite(specs)
-	if err != nil {
-		t.Fatal(err)
+	if got := r.Counters().Misses; got != 1 {
+		t.Fatalf("runner executed %d specs, want 1", got)
 	}
-	for i := range specs {
-		if warm[i].Cycles != cold[i].Cycles {
-			t.Fatalf("warm suite differs at %d: %d vs %d", i, warm[i].Cycles, cold[i].Cycles)
-		}
-		if cachedWarm[i] != "memory" {
-			t.Fatalf("warm suite provenance[%d] = %q, want memory", i, cachedWarm[i])
-		}
-	}
-
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Counters.Misses != 2 {
-		t.Fatalf("server executed %d specs, want 2", st.Counters.Misses)
-	}
-	if st.Store == nil || st.Store.Entries != 2 {
-		t.Fatalf("store stats = %+v, want 2 entries", st.Store)
-	}
-	// Warm pass over an already-answered batch: everything cache-served.
-	if f := st.CacheServedFraction(); f < 0.5 {
-		t.Fatalf("cache-served fraction = %.2f", f)
-	}
-
-	// Per-item failures keep the stream alive and fail the batch with
-	// an attributed error.
-	bad := append([]runplan.WireSpec{}, specs...)
-	bad[1].Workload = "no-such-workload"
-	if _, _, err := c.Suite(bad); err == nil {
-		t.Fatal("batch with a bad spec reported success")
+	if st := d.Stats(); st.Entries != 1 || st.Saves != 1 {
+		t.Fatalf("store stats = %+v, want 1 entry from 1 save", st)
 	}
 }
 
 // TestServerWarmFractionContract is the in-process version of the CI
-// gate: a repeat batch through a warm service is answered ≥95% from
-// cache with byte-identical reports.
+// gate: a repeat pass through a warm service is answered ≥95% from
+// cache with the same reports.
 func TestServerWarmFractionContract(t *testing.T) {
 	c, _, _ := newTestService(t)
 	cfg := config.Default8()
@@ -261,20 +257,26 @@ func TestServerWarmFractionContract(t *testing.T) {
 			wireSpec(t, runplan.ForVariant(nb, baseline.Static, cfg)),
 			wireSpec(t, runplan.ForVariant(nb, baseline.Delta, cfg)))
 	}
-	cold, _, err := c.Suite(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, cachedWarm, err := c.Suite(specs)
-	if err != nil {
-		t.Fatal(err)
+	cold := make([]int64, len(specs))
+	for i, ws := range specs {
+		rep, _, err := c.RunWire(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[i] = rep.Cycles
 	}
 	served := 0
-	for i := range specs {
-		if warm[i].Cycles != cold[i].Cycles {
-			t.Fatalf("warm pass differs at %d", i)
+	var cachedWarm []string
+	for i, ws := range specs {
+		rep, cached, err := c.RunWire(ws)
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch cachedWarm[i] {
+		if rep.Cycles != cold[i] {
+			t.Fatalf("warm pass differs at %d: %d vs %d cycles", i, rep.Cycles, cold[i])
+		}
+		cachedWarm = append(cachedWarm, cached)
+		switch cached {
 		case "memory", "disk", "dedup":
 			served++
 		}

@@ -13,10 +13,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"taskstream/internal/core"
+	"taskstream/internal/runplan"
 )
 
 // envelope is one entry file: the key it answers, the hex SHA-256 of
@@ -32,31 +34,31 @@ type envelope struct {
 
 // entry is the in-memory index record for one on-disk file.
 type entry struct {
-	file string // file name inside dir (hash of key + ".json")
+	file string // file name inside dir (fileFor of its key)
 	size int64
 }
 
-// StoreStats is a snapshot of a DiskStore's accounting, served by the
-// delta-serve /v1/stats endpoint.
+// StoreStats is a snapshot of a DiskStore's accounting; delta-serve
+// exports every field but Dir as a store_* gauge at /metrics.
 type StoreStats struct {
-	Dir       string `json:"dir"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-	Loads     int64  `json:"loads"`
-	LoadHits  int64  `json:"load_hits"`
-	Corrupt   int64  `json:"corrupt"`
-	Saves     int64  `json:"saves"`
-	Evictions int64  `json:"evictions"`
+	Dir       string
+	Entries   int
+	Bytes     int64
+	MaxBytes  int64
+	Loads     int64
+	LoadHits  int64
+	Corrupt   int64
+	Saves     int64
+	Evictions int64
 }
 
 // DiskStore is a persistent content-addressed cache of simulation
 // reports, implementing runplan.Store. Entries are files named by the
-// SHA-256 of their key, integrity-checked on load, and LRU-evicted
-// once the total size exceeds a configurable bound. Safe for
-// concurrent use. It is a cache: every failure path (unreadable file,
-// failed integrity check, write error) degrades to a miss or a
-// dropped save, never to a wrong answer or a runner error.
+// model revision and the SHA-256 of their key, integrity-checked on
+// load, and LRU-evicted once the total size exceeds a configurable
+// bound. Safe for concurrent use. It is a cache: every failure path
+// (unreadable file, failed integrity check, write error) degrades to a
+// miss or a dropped save, never to a wrong answer or a runner error.
 type DiskStore struct {
 	dir string
 	max int64 // size bound in bytes; <= 0 means unbounded
@@ -70,9 +72,13 @@ type DiskStore struct {
 }
 
 // Open returns a store rooted at dir (created if missing), holding at
-// most maxBytes of entries (<= 0 = unbounded). Existing entries are
-// indexed by file modification time, so the LRU order — refreshed on
-// every load — survives restarts.
+// most maxBytes of entries (<= 0 = unbounded). Existing entries of the
+// current runplan.ModelRevision are indexed by file modification time,
+// so the LRU order — refreshed on every load — survives restarts.
+// Entries of any other revision, and the bare "<sha256>.json" entries
+// of builds before file names carried one, are deleted: no key this
+// build computes can hit them. Every other file in dir is left alone,
+// never indexed and never evicted.
 func Open(dir string, maxBytes int64) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -92,7 +98,15 @@ func Open(dir string, maxBytes int64) (*DiskStore, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	for _, f := range files {
-		if f.IsDir() || filepath.Ext(f.Name()) != ".json" {
+		if f.IsDir() {
+			continue
+		}
+		rev, ok := entryRevision(f.Name())
+		if !ok {
+			continue
+		}
+		if rev != runplan.ModelRevision {
+			os.Remove(filepath.Join(dir, f.Name())) // best-effort; the next Open retries
 			continue
 		}
 		info, err := f.Info()
@@ -117,10 +131,29 @@ func Open(dir string, maxBytes int64) (*DiskStore, error) {
 	return d, nil
 }
 
-// fileFor returns the content-addressed file name for a key.
+// fileFor returns the content-addressed file name for a key:
+// "<ModelRevision>-<sha256(key) in hex>.json".
 func fileFor(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + ".json"
+	return runplan.ModelRevision + "-" + hex.EncodeToString(sum[:]) + ".json"
+}
+
+// entryRevision parses an entry file name, "<revision>-<sha256>.json"
+// with a lower-case alphanumeric revision and a lower-case hex hash,
+// reporting the revision. A bare "<sha256>.json" parses with revision
+// "". ok is false for every other name: files the store did not write.
+func entryRevision(name string) (rev string, ok bool) {
+	base, isJSON := strings.CutSuffix(name, ".json")
+	n := len(base) - hex.EncodedLen(sha256.Size)
+	// Trimming a cutset leaves "" exactly when every byte is in it.
+	if !isJSON || n < 0 || strings.Trim(base[n:], "0123456789abcdef") != "" {
+		return "", false
+	}
+	if n == 0 {
+		return "", true
+	}
+	rev, dashed := strings.CutSuffix(base[:n], "-")
+	return rev, dashed && rev != "" && strings.Trim(rev, "0123456789abcdefghijklmnopqrstuvwxyz") == ""
 }
 
 // Load implements runplan.Store: fetch, integrity-check, and decode

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -265,5 +267,61 @@ func TestParallelRunsSingleMiss(t *testing.T) {
 	}
 	if st := d.Stats(); st.Saves != 1 {
 		t.Fatalf("store saves = %d, want 1", st.Saves)
+	}
+}
+
+// TestDiskStoreLeavesForeignFiles pins that the store owns only the
+// files it names: a .json file it never wrote is neither indexed nor
+// evicted, even when it alone is over the size bound.
+func TestDiskStoreLeavesForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	notes := filepath.Join(dir, "notes.json")
+	if err := os.WriteFile(notes, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := mustOpen(t, dir, 1024)
+	if _, err := os.Stat(notes); err != nil {
+		t.Fatalf("Open removed a file the store never wrote: %v", err)
+	}
+	if d.Len() != 0 || d.Bytes() != 0 {
+		t.Fatalf("foreign file indexed: %d entries, %d bytes", d.Len(), d.Bytes())
+	}
+}
+
+// TestDiskStoreDropsOtherRevisions pins the store's cleanup on open:
+// an entry saved under another model revision, or under the bare
+// "<sha256>.json" name of builds before names carried a revision, can
+// never hit, so Open deletes it; an entry of the current revision
+// survives the reopen and still loads.
+func TestDiskStoreDropsOtherRevisions(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, 0)
+	d.Save(histSpec().Key(), testReport(123))
+
+	hash := func(key string) string {
+		sum := sha256.Sum256([]byte(key))
+		return hex.EncodeToString(sum[:])
+	}
+	stale := []string{
+		"r0-" + hash("r0|hist|…") + ".json",
+		hash("hist|…") + ".json",
+	}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d = mustOpen(t, dir, 0)
+	if d.Len() != 1 {
+		t.Fatalf("reopened store has %d entries, want only the current revision's 1", d.Len())
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("stale entry %s not deleted (stat: %v)", name, err)
+		}
+	}
+	if rep, ok := d.Load(histSpec().Key()); !ok || rep.Cycles != 123 {
+		t.Fatalf("current-revision entry lost: ok=%v rep=%+v", ok, rep)
 	}
 }

@@ -285,12 +285,6 @@ func (e *Engine) Promote() {
 	e.aheadCtxs, e.aheadSetups = nil, nil
 }
 
-// DropAhead cancels an armed prefetch (contexts stay registered until
-// their in-flight responses drain; they are simply never consumed).
-func (e *Engine) DropAhead() {
-	e.aheadCtxs, e.aheadSetups = nil, nil
-}
-
 // SetupWrite programs output port p for the coming task.
 func (e *Engine) SetupWrite(p int, s WriteSetup) {
 	ctx := &writeCtx{kind: s.Kind, n: s.N,
@@ -312,12 +306,6 @@ func (e *Engine) Avail(p int) int {
 	c := e.reads[p]
 	return c.avail - c.consumed
 }
-
-// InN returns the programmed element count of input port p.
-func (e *Engine) InN(p int) int { return e.reads[p].n }
-
-// OutN returns the programmed element count of output port p.
-func (e *Engine) OutN(p int) int { return e.writes[p].n }
 
 // Consume removes k elements from input port p (fabric firing).
 func (e *Engine) Consume(p, k int) {

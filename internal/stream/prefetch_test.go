@@ -81,22 +81,6 @@ func TestPrefetchNonPrefetchableKindsDeferred(t *testing.T) {
 	}
 }
 
-func TestDropAhead(t *testing.T) {
-	lb := newLoopback(5, proto.Topology{Lanes: 1, Channels: 1})
-	e := newTestEngine(lb, 0)
-	setups := make([]ReadSetup, 4)
-	setups[0] = ReadSetup{Kind: SrcDRAM, N: 8, Addrs: LinearAddrs(0x2000, 8)}
-	e.SetupAhead(setups)
-	e.DropAhead()
-	if e.HasAhead() {
-		t.Fatal("DropAhead must clear the prefetch")
-	}
-	// In-flight responses for the dropped context must not crash.
-	for i := 0; i < 50; i++ {
-		lb.tick(e)
-	}
-}
-
 func TestPromoteWithoutAheadPanics(t *testing.T) {
 	lb := newLoopback(1, proto.Topology{Lanes: 1, Channels: 1})
 	e := newTestEngine(lb, 0)

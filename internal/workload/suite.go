@@ -17,6 +17,15 @@ func Suite() []NamedBuilder {
 	}
 }
 
+// SuiteNames returns the suite's workload names in Suite order.
+func SuiteNames() []string {
+	var names []string
+	for _, nb := range Suite() {
+		names = append(names, nb.Name)
+	}
+	return names
+}
+
 // NamedBuilder pairs a workload name with its default constructor. The
 // builder is called fresh for every run so that storage state never
 // leaks between runs.
