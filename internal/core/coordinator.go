@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"taskstream/internal/obs"
 	"taskstream/internal/sim"
@@ -112,6 +113,23 @@ func (c *coordinator) AllDone() bool {
 		}
 	}
 	return c.m.mcast.drained()
+}
+
+// backlog describes the tasks still pending or active, by phase — the
+// coordinator's half of a run's cycle-limit error, which names what
+// kept its done predicate false.
+func (c *coordinator) backlog() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "coordinator at phase %d", c.phase)
+	for p := range c.pending {
+		if n, a := len(c.pending[p]), c.activeCount[p]; n > 0 || a > 0 {
+			fmt.Fprintf(&b, "; phase %d: %d pending, %d active", p, n, a)
+		}
+	}
+	if c.spawnInFlight > 0 {
+		fmt.Fprintf(&b, "; %d spawns in flight", c.spawnInFlight)
+	}
+	return b.String()
 }
 
 // NextEvent reports when the coordinator can next act: at control-pipe

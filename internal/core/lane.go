@@ -54,6 +54,12 @@ type Lane struct {
 	prod       *sim.Pipe[prodEvt]
 	spawnPipe  *sim.Pipe[spawnEvt]
 	reserved   []int // write-buffer space reserved by in-flight firings
+	// need[p] and give[p] are the elements the current firing consumes
+	// from input port p and produces on output port p (0 for an unused
+	// port): portDelta, computed once per firing by setDeltas rather
+	// than on every fireBlock.
+	need []int
+	give []int
 
 	// Stats.
 	BusyCycles   int64
@@ -86,6 +92,8 @@ func newLane(id int, m *Machine) *Lane {
 		prod:      sim.NewPipe[prodEvt](0),
 		spawnPipe: sim.NewPipe[spawnEvt](0),
 		reserved:  make([]int, m.cfg.Fabric.NumPorts),
+		need:      make([]int, m.cfg.Fabric.NumPorts),
+		give:      make([]int, m.cfg.Fabric.NumPorts),
 	}
 	l.eng = stream.NewEngine(id, m.cfg, m.topo, m.mesh, spad, m.pool)
 	return l
@@ -249,6 +257,7 @@ func (l *Lane) startTask(now sim.Cycle) {
 		l.reserved[p] = 0
 	}
 	l.firing = 0
+	l.setDeltas(r)
 	l.nextFire = now
 	if r.startGate != nil {
 		*r.startGate = true // unblock paired producers' forwarding
@@ -301,27 +310,33 @@ func (l *Lane) run(now sim.Cycle) {
 	}
 }
 
+// setDeltas caches the per-port element counts of firing l.firing of
+// r (every resolved task has one set entry per fabric port).
+func (l *Lane) setDeltas(r *resolved) {
+	f := l.firing
+	for p := range l.need {
+		l.need[p], l.give[p] = 0, 0
+		if r.inSet[p].Kind != stream.SrcNone {
+			l.need[p] = portDelta(r.inN[p], f, r.firings)
+		}
+		if r.outSet[p].Kind != stream.DstNone {
+			l.give[p] = portDelta(r.outN[p], f, r.firings)
+		}
+	}
+}
+
 // fireBlock checks element availability and output space for the next
 // firing without touching statistics. ok reports whether the firing can
 // proceed; when it cannot, exactly one of out (output-space stall) or
 // in (the first blocking input port's source kind) identifies the
 // blocker, matching the attribution order canFire has always used.
 func (l *Lane) fireBlock(r *resolved) (in stream.SrcKind, out, ok bool) {
-	f := l.firing
-	for p := 0; p < len(r.inSet); p++ {
-		if r.inSet[p].Kind == stream.SrcNone {
-			continue
-		}
-		need := portDelta(r.inN[p], f, r.firings)
+	for p, need := range l.need {
 		if need > 0 && l.eng.Avail(p) < need {
 			return r.inSet[p].Kind, false, false
 		}
 	}
-	for p := 0; p < len(r.outSet); p++ {
-		if r.outSet[p].Kind == stream.DstNone {
-			continue
-		}
-		k := portDelta(r.outN[p], f, r.firings)
+	for p, k := range l.give {
 		if k > 0 && !l.eng.OutSpace(p, l.reserved[p]+k) {
 			return 0, true, false
 		}
@@ -348,19 +363,13 @@ func (l *Lane) canFire(r *resolved) bool {
 func (l *Lane) fire(now sim.Cycle, r *resolved) {
 	f := l.firing
 	lat := sim.Cycle(r.mapping.Latency)
-	for p := 0; p < len(r.inSet); p++ {
-		if r.inSet[p].Kind == stream.SrcNone {
-			continue
-		}
-		if need := portDelta(r.inN[p], f, r.firings); need > 0 {
+	for p, need := range l.need {
+		if need > 0 {
 			l.eng.Consume(p, need)
 		}
 	}
-	for p := 0; p < len(r.outSet); p++ {
-		if r.outSet[p].Kind == stream.DstNone {
-			continue
-		}
-		if k := portDelta(r.outN[p], f, r.firings); k > 0 {
+	for p, k := range l.give {
+		if k > 0 {
 			l.reserved[p] += k
 			l.prod.SendAt(now+lat, prodEvt{port: p, n: k})
 		}
@@ -371,6 +380,7 @@ func (l *Lane) fire(now sim.Cycle, r *resolved) {
 		}
 	}
 	l.firing++
+	l.setDeltas(r)
 	l.nextFire = now + sim.Cycle(r.mapping.II)
 	l.FireCycles++
 }

@@ -244,7 +244,7 @@ func (m *Machine) submitMcast(req proto.McastReq) bool {
 func (m *Machine) Run() (Report, error) {
 	cycles, err := m.engine.Run(m.coord.AllDone)
 	if err != nil {
-		return Report{}, err
+		return Report{}, fmt.Errorf("%w (%s)", err, m.coord.backlog())
 	}
 	if m.opts.Obs != nil {
 		for _, l := range m.lanes {

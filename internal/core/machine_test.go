@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"taskstream/internal/config"
 	"taskstream/internal/fabric"
 	"taskstream/internal/mem"
+	"taskstream/internal/sim"
 	"taskstream/internal/stats"
 )
 
@@ -368,9 +370,10 @@ func TestMulticastSameResults(t *testing.T) {
 	}
 }
 
-// spawnProgram: a parent task spawns one child per 16-element block of
-// its input; children negate their block into dst (phase 1).
-func spawnProgram(st *mem.Storage, blocks int) *Program {
+// spawnProgram: a parent task (phase 0) spawns one child per 16-element
+// block of its input; children add 5 to their block into dst, in phase
+// childPhase.
+func spawnProgram(st *mem.Storage, blocks, childPhase int) *Program {
 	al := mem.NewAllocator()
 	n := blocks * 16
 	src := al.AllocElems(n)
@@ -389,7 +392,7 @@ func spawnProgram(st *mem.Storage, blocks int) *Program {
 				spawns = append(spawns, Spawn{
 					AtFiring: b,
 					Task: Task{
-						Type: 1, Phase: 1, Key: uint64(b),
+						Type: 1, Phase: childPhase, Key: uint64(b),
 						Scalars: []uint64{5},
 						Ins:     []InArg{{Kind: ArgDRAMLinear, Base: src + mem.Addr(b*16*8), N: 16}},
 						Outs:    []OutArg{{Kind: OutDRAMLinear, Base: dst + mem.Addr(b*16*8), N: 16}},
@@ -414,7 +417,7 @@ func v0(a mem.Addr) mem.Addr { return a }
 func TestSpawnedTasksRun(t *testing.T) {
 	const blocks = 6
 	st := mem.NewStorage()
-	prog := spawnProgram(st, blocks)
+	prog := spawnProgram(st, blocks, 1)
 	rep := buildAndRun(t, testConfig(4), prog, st, Options{})
 	if rep.Stats.Get("tasks_spawned") != blocks {
 		t.Fatalf("tasks_spawned = %d, want %d", rep.Stats.Get("tasks_spawned"), blocks)
@@ -439,10 +442,69 @@ func TestSpawnStaticModeBarriers(t *testing.T) {
 	// and partitioned at the phase barrier.
 	const blocks = 6
 	st := mem.NewStorage()
-	prog := spawnProgram(st, blocks)
+	prog := spawnProgram(st, blocks, 1)
 	rep := buildAndRun(t, testConfig(4).StaticModel(), prog, st, Options{Policy: PolicyStatic})
 	if rep.Stats.Get("tasks_run") != blocks+1 {
 		t.Fatalf("tasks_run = %d, want %d", rep.Stats.Get("tasks_run"), blocks+1)
+	}
+}
+
+// TestSpawnIntoCurrentPhase runs children that the kernel spawns into
+// its own phase, under both policies. The static policy used to
+// partition only the tasks pending at the phase's first dispatch and
+// never dispatched later arrivals, so the run hit its cycle limit with
+// every component idle.
+func TestSpawnIntoCurrentPhase(t *testing.T) {
+	const blocks = 6
+	for _, tc := range []struct {
+		policy Policy
+		cfg    config.Config
+	}{
+		{PolicyDynamic, testConfig(4)},
+		{PolicyStatic, testConfig(4).StaticModel()},
+	} {
+		st := mem.NewStorage()
+		prog := spawnProgram(st, blocks, 0)
+		rep := buildAndRun(t, tc.cfg, prog, st, Options{Policy: tc.policy, MaxCycles: 200_000})
+		if got := rep.Stats.Get("tasks_run"); got != blocks+1 {
+			t.Fatalf("%s: tasks_run = %d, want %d", tc.policy, got, blocks+1)
+		}
+		al := mem.NewAllocator()
+		n := blocks * 16
+		al.AllocElems(n)
+		dst := al.AllocElems(n)
+		for i, v := range st.ReadElems(dst, n) {
+			if v != uint64(i+10+5) {
+				t.Fatalf("%s: dst[%d] = %d, want %d", tc.policy, i, v, i+15)
+			}
+		}
+	}
+}
+
+// stuckSched never dispatches.
+type stuckSched struct{}
+
+func (stuckSched) Dispatch(*SchedState, sim.Cycle) bool { return false }
+func (stuckSched) PhaseStart(*SchedState, int)          {}
+
+// TestCycleLimitErrorNamesBacklog pins the diagnosis of a run whose
+// tasks stay pending while every component idles: the error says the
+// done predicate is unmet and how many tasks wait in which phase.
+func TestCycleLimitErrorNamesBacklog(t *testing.T) {
+	st := mem.NewStorage()
+	m, err := NewMachine(testConfig(4), spawnProgram(st, 6, 1), st, Options{MaxCycles: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.coord.sched = stuckSched{}
+	_, err = m.Run()
+	if err == nil {
+		t.Fatal("want a cycle-limit error")
+	}
+	for _, want := range []string{"cycle limit 1000", "done predicate is unmet", "phase 0: 1 pending, 0 active"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %q", err, want)
+		}
 	}
 }
 

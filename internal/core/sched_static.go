@@ -9,26 +9,26 @@ import "taskstream/internal/sim"
 // in the paper's baseline.
 type staticSched struct {
 	// assigned is the per-task lane assignment, parallel to the current
-	// phase's pending queue; nil until the first dispatch attempt of
+	// phase's pending queue; empty until the first dispatch attempt of
 	// the phase builds it.
 	assigned []int
 }
 
 func (st *staticSched) Dispatch(s *SchedState, now sim.Cycle) bool {
 	q := s.Pending()
-	if st.assigned == nil {
-		// Build the partition once per phase: contiguous blocks, the
-		// compile-time division the paper's baseline uses.
-		n := len(q)
-		st.assigned = make([]int, n)
+	if late := len(q) - len(st.assigned); late > 0 {
+		// The phase's first dispatch partitions its queue into
+		// contiguous blocks, the compile-time division the paper's
+		// baseline uses. Tasks that kernels spawn into the running
+		// phase arrive after that; they are block-partitioned among
+		// themselves and appended, so every pending task has a lane.
 		lanes := s.NumLanes()
-		for i := 0; i < n; i++ {
-			st.assigned[i] = i * lanes / n
+		for i := 0; i < late; i++ {
+			st.assigned = append(st.assigned, i*lanes/late)
 		}
 	}
 	// Dispatch the first task whose assigned lane has queue space.
-	for i := 0; i < len(q) && i < len(st.assigned); i++ {
-		lane := st.assigned[i]
+	for i, lane := range st.assigned {
 		if s.QueueFree(lane) == 0 {
 			continue
 		}

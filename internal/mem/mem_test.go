@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -37,12 +38,18 @@ func TestStorageCrossesPages(t *testing.T) {
 
 func TestStorageUnalignedPanics(t *testing.T) {
 	s := NewStorage()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on unaligned access")
+	for _, a := range []Addr{3, pageBytes + 4, Addr(denseLimit)<<pageShift + 2} {
+		for _, access := range []func(){func() { s.Read8(a) }, func() { s.Write8(a, 1) }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("want panic on unaligned access at %#x", a)
+					}
+				}()
+				access()
+			}()
 		}
-	}()
-	s.Read8(3)
+	}
 }
 
 func TestStorageProperty(t *testing.T) {
@@ -62,6 +69,88 @@ func TestStorageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStorageMatchesMapModel runs random aligned Write8, Read8,
+// WriteElems and ReadElems calls against a map of words. The
+// addresses cluster on page boundaries, on both sides of the dense
+// table's bound and far beyond it, so runs cross pages, cross from the
+// dense table into the map, and grow the table repeatedly.
+func TestStorageMatchesMapModel(t *testing.T) {
+	bound := Addr(denseLimit) << pageShift
+	bases := []Addr{pageBytes, 3 * pageBytes, 64 * pageBytes, 1 << 24,
+		bound - pageBytes, bound, bound + 5*pageBytes, 1 << 40, 1<<63 - pageBytes}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStorage()
+		model := map[Addr]uint64{}
+		addr := func() Addr {
+			// Within ±4 words of a page boundary near a base.
+			b := bases[rng.Intn(len(bases))] + Addr(rng.Intn(4))*pageBytes
+			return b + Addr(rng.Intn(9)-4)*ElemBytes
+		}
+		for op := 0; op < 4000; op++ {
+			a := addr()
+			switch rng.Intn(4) {
+			case 0:
+				v := rng.Uint64()
+				s.Write8(a, v)
+				model[a] = v
+			case 1:
+				if got := s.Read8(a); got != model[a] {
+					t.Fatalf("seed %d op %d: Read8(%#x) = %#x, model %#x", seed, op, a, got, model[a])
+				}
+			case 2:
+				vs := make([]uint64, 1+rng.Intn(12))
+				for i := range vs {
+					vs[i] = rng.Uint64()
+					model[a+Addr(i*ElemBytes)] = vs[i]
+				}
+				s.WriteElems(a, vs)
+			case 3:
+				n := 1 + rng.Intn(12)
+				got := s.ReadElems(a, n)
+				for i, v := range got {
+					if w := model[a+Addr(i*ElemBytes)]; v != w {
+						t.Fatalf("seed %d op %d: ReadElems(%#x)[%d] = %#x, model %#x", seed, op, a, i, v, w)
+					}
+				}
+			}
+		}
+		for a, v := range model {
+			if got := s.Read8(a); got != v {
+				t.Fatalf("seed %d: final Read8(%#x) = %#x, model %#x", seed, a, got, v)
+			}
+		}
+	}
+}
+
+// TestStorageUntouchedReadsAllocateNothing pins the read side of the
+// page table: a read of a page never written returns 0, below, inside
+// and beyond the dense range, and neither allocates a page nor grows
+// the table.
+func TestStorageUntouchedReadsAllocateNothing(t *testing.T) {
+	s := NewStorage()
+	s.Write8(3*pageBytes, 7)
+	s.Write8(Addr(denseLimit+2)<<pageShift, 9)
+	dense, far := len(s.dense), len(s.far)
+	for _, a := range []Addr{0, 2 * pageBytes, 3*pageBytes + 8, 100 * pageBytes,
+		Addr(denseLimit-1) << pageShift, Addr(denseLimit) << pageShift, 1 << 50} {
+		if got := s.Read8(a); got != 0 {
+			t.Fatalf("untouched Read8(%#x) = %#x, want 0", a, got)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { s.Read8(a) }); allocs != 0 {
+			t.Fatalf("Read8(%#x) allocated %v times", a, allocs)
+		}
+	}
+	if len(s.dense) != dense || len(s.far) != far {
+		t.Fatalf("reads grew the store: dense %d → %d pages, far %d → %d", dense, len(s.dense), far, len(s.far))
+	}
+	for pn, p := range s.dense {
+		if p != nil && pn != 3 {
+			t.Fatalf("reads allocated dense page %d", pn)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@
 //
 //   - Storage is the functional half: a sparse, page-backed byte store
 //     holding the actual data workloads compute on. Kernels read and
-//     write it eagerly; results are therefore real, not synthetic.
+//     write it eagerly; results are therefore real, not synthetic. A
+//     dense page table indexed by page number covers the low addresses
+//     that Allocator hands out, so a word access costs a slice index
+//     rather than a map lookup; pages past that range live in a map.
 //   - DRAM is the timing half: multi-channel bandwidth/latency queues
 //     that model when bytes move, independent of what they contain.
 //
@@ -12,6 +15,8 @@
 // the workloads' phase discipline, while cycle-level timing flows
 // through request/response traffic.
 package mem
+
+import "encoding/binary"
 
 // Addr is a byte address in the accelerator's flat physical space.
 type Addr uint64
@@ -26,23 +31,59 @@ const (
 	pageMask  = pageBytes - 1
 )
 
+// denseLimit bounds the page numbers Storage indexes densely: pages
+// below it (the first 1 GiB of the address space, a table of at most
+// 2 MiB) sit in a slice indexed by page number, and pages at or beyond
+// it in a map.
+const denseLimit = 1 << 18
+
 // Storage is the functional backing store. Pages are allocated lazily
-// on first touch; untouched memory reads as zero.
+// on first write; untouched memory reads as zero. Reads never modify
+// the store, so any number of readers may share it.
 type Storage struct {
-	pages map[Addr]*[pageBytes]byte
+	dense []*[pageBytes]byte // indexed by page number, < denseLimit
+	far   map[Addr]*[pageBytes]byte
 }
 
 // NewStorage returns an empty store.
 func NewStorage() *Storage {
-	return &Storage{pages: make(map[Addr]*[pageBytes]byte)}
+	return &Storage{far: make(map[Addr]*[pageBytes]byte)}
 }
 
-func (s *Storage) page(a Addr, create bool) *[pageBytes]byte {
+// page returns the page holding a, or nil if it was never written.
+func (s *Storage) page(a Addr) *[pageBytes]byte {
 	pn := a >> pageShift
-	p := s.pages[pn]
-	if p == nil && create {
+	if pn < Addr(len(s.dense)) {
+		return s.dense[pn]
+	}
+	if pn < denseLimit {
+		return nil
+	}
+	return s.far[pn]
+}
+
+// pageForWrite returns the page holding a, allocating it (and growing
+// the dense table to cover it, with one allocation) on first touch.
+func (s *Storage) pageForWrite(a Addr) *[pageBytes]byte {
+	pn := a >> pageShift
+	if pn >= denseLimit {
+		p := s.far[pn]
+		if p == nil {
+			p = new([pageBytes]byte)
+			s.far[pn] = p
+		}
+		return p
+	}
+	if pn >= Addr(len(s.dense)) {
+		n := max(2*len(s.dense), int(pn)+1)
+		table := make([]*[pageBytes]byte, min(n, denseLimit))
+		copy(table, s.dense)
+		s.dense = table
+	}
+	p := s.dense[pn]
+	if p == nil {
 		p = new([pageBytes]byte)
-		s.pages[pn] = p
+		s.dense[pn] = p
 	}
 	return p
 }
@@ -52,16 +93,11 @@ func (s *Storage) Read8(a Addr) uint64 {
 	if a%ElemBytes != 0 {
 		panic("mem: unaligned Read8")
 	}
-	p := s.page(a, false)
+	p := s.page(a)
 	if p == nil {
 		return 0
 	}
-	off := a & pageMask
-	var v uint64
-	for i := 0; i < ElemBytes; i++ {
-		v |= uint64(p[off+Addr(i)]) << (8 * i)
-	}
-	return v
+	return binary.LittleEndian.Uint64(p[a&pageMask:])
 }
 
 // Write8 stores the 64-bit word v at a, which must be 8-byte aligned.
@@ -69,11 +105,7 @@ func (s *Storage) Write8(a Addr, v uint64) {
 	if a%ElemBytes != 0 {
 		panic("mem: unaligned Write8")
 	}
-	p := s.page(a, true)
-	off := a & pageMask
-	for i := 0; i < ElemBytes; i++ {
-		p[off+Addr(i)] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(s.pageForWrite(a)[a&pageMask:], v)
 }
 
 // ReadElems reads n consecutive 64-bit words starting at a.

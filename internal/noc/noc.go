@@ -10,11 +10,20 @@
 // sources in this machine are self-throttled (bounded outstanding
 // requests), which together with X-Y routing keeps the network
 // deadlock-free.
+//
+// A tick costs what the traffic costs. Routing splits a destination
+// set with one AND per direction against masks precomputed from the
+// X-Y rule. Arrivals reach routers through one mesh-wide pipe of link
+// indices keyed by arrival cycle, and bitsets of ready in-links,
+// non-empty injection ports and non-empty link queues let Tick and
+// NextEvent visit only the links and nodes that hold messages, in the
+// same order a full scan would.
 package noc
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"taskstream/internal/config"
 	"taskstream/internal/obs"
@@ -57,7 +66,12 @@ func DestMask(node int) uint64 { return 1 << uint(node) }
 type link struct {
 	q         *sim.Queue[Message]
 	busyUntil sim.Cycle
-	inflight  *sim.Pipe[Message]
+	// inflight holds transmitted messages in arrival order: a link's
+	// arrival cycles strictly increase, since a transmission starts no
+	// earlier than the previous one's busy-until and lasts at least one
+	// cycle. matured counts the arrived messages at its head.
+	inflight sim.Deque[Message]
+	matured  int
 	// blocked holds the head-of-line message that could not route on
 	// (valid when hasBlocked; stored by value so blocking never
 	// allocates).
@@ -66,6 +80,10 @@ type link struct {
 	// idx is the link's position in allLinks — the component index
 	// occupancy events carry.
 	idx int32
+	// to is the receiving node and slot the link's position in
+	// inLinks[to]: the ready bit its arrivals and blocked head set.
+	to   int
+	slot uint8
 }
 
 const (
@@ -88,20 +106,34 @@ type Mesh struct {
 	// arithmetic); allLinks flattens every link in phase-B order.
 	inLinks  [][]*link
 	allLinks []*link
+	// dirMask[n][d] is the set of destinations that X-Y routing sends
+	// from node n in direction d.
+	dirMask [][numDirs]uint64
+	// arrivals carries each transmission's link index to its arrival
+	// cycle; Tick moves matured ones into their link's matured count.
+	arrivals *sim.Pipe[int32]
+	// ready[n] has bit s set while inLinks[n][s] holds a blocked head
+	// or a matured arrival, readyNodes has bit n set while ready[n] is
+	// non-zero, and injectNodes while inject[n] is non-empty: phase A
+	// visits only the nodes in their union. queued has bit i set while
+	// allLinks[i]'s transmit queue is non-empty: phase B and NextEvent
+	// visit only those links.
+	ready       []uint8
+	readyNodes  uint64
+	injectNodes uint64
+	queued      []uint64
 	// inject[n] is node n's local injection queue.
 	inject []*sim.Queue[Message]
 	// eject[n] is node n's (unbounded) delivery queue; a reusable ring
 	// so steady-state delivery neither reallocates nor leaks head
 	// capacity the way the old append/shift slice did.
 	eject []sim.Deque[Message]
-	// injectN, linkN, and ejectN count buffered messages (injection
-	// queues; link queues + in-flight + blocked heads; delivery
-	// queues). injectN and linkN both zero means a Tick has nothing to
-	// do, making the empty-mesh cycle O(1) instead of a full link scan;
-	// all three zero makes Idle O(1).
-	injectN int
-	linkN   int
-	ejectN  int
+	// linkN and ejectN count buffered messages (link queues +
+	// in-flight + blocked heads; delivery queues). injectNodes and
+	// linkN both zero means a Tick has nothing to do, making the
+	// empty-mesh cycle O(1); with ejectN zero too, Idle is O(1).
+	linkN  int
+	ejectN int
 
 	// Stats.
 	MsgsSent   int64
@@ -120,26 +152,27 @@ func NewMesh(cfg config.NoC, nodes int) *Mesh {
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(nodes))))
 	rows := (nodes + cols - 1) / cols
-	m := &Mesh{cfg: cfg, nodes: nodes, cols: cols, rows: rows}
+	m := &Mesh{cfg: cfg, nodes: nodes, cols: cols, rows: rows,
+		arrivals: sim.NewPipe[int32](0)}
 	m.out = make([][numDirs]*link, nodes)
 	m.inject = make([]*sim.Queue[Message], nodes)
 	m.eject = make([]sim.Deque[Message], nodes)
 	for n := 0; n < nodes; n++ {
 		for d := 0; d < numDirs; d++ {
 			if m.neighbor(n, d) >= 0 {
-				m.out[n][d] = &link{
-					q:        sim.NewQueue[Message](cfg.VCDepth),
-					inflight: sim.NewPipe[Message](sim.Cycle(cfg.LinkLatency)),
-				}
+				m.out[n][d] = &link{q: sim.NewQueue[Message](cfg.VCDepth)}
 			}
 		}
 		m.inject[n] = sim.NewQueue[Message](cfg.VCDepth)
 	}
 	m.inLinks = make([][]*link, nodes)
+	m.ready = make([]uint8, nodes)
 	for n := 0; n < nodes; n++ {
 		for d := 0; d < numDirs; d++ {
 			if nb := m.neighbor(n, d); nb >= 0 {
-				m.inLinks[n] = append(m.inLinks[n], m.out[nb][opposite(d)])
+				l := m.out[nb][opposite(d)]
+				l.to, l.slot = n, uint8(len(m.inLinks[n]))
+				m.inLinks[n] = append(m.inLinks[n], l)
 			}
 		}
 	}
@@ -148,6 +181,15 @@ func NewMesh(cfg config.NoC, nodes int) *Mesh {
 			if l := m.out[n][d]; l != nil {
 				l.idx = int32(len(m.allLinks))
 				m.allLinks = append(m.allLinks, l)
+			}
+		}
+	}
+	m.queued = make([]uint64, (len(m.allLinks)+63)/64)
+	m.dirMask = make([][numDirs]uint64, nodes)
+	for n := 0; n < nodes; n++ {
+		for dest := 0; dest < nodes; dest++ {
+			if d := m.routeDir(n, dest); d >= 0 {
+				m.dirMask[n][d] |= DestMask(dest)
 			}
 		}
 	}
@@ -206,6 +248,7 @@ func (m *Mesh) neighbor(n, d int) int {
 // equal). On a ragged mesh the last row may be partial; when the X step
 // would enter a missing node, the route detours north first (the rows
 // above the ragged row are always full, so Y-then-X reaches any node).
+// NewMesh folds it into dirMask, so no message pays for it.
 func (m *Mesh) routeDir(cur, dest int) int {
 	cx, cy := m.coord(cur)
 	dx, dy := m.coord(dest)
@@ -240,7 +283,7 @@ func (m *Mesh) TryInject(msg Message) bool {
 	if !m.inject[msg.Src].Push(msg) {
 		return false
 	}
-	m.injectN++
+	m.injectNodes |= DestMask(msg.Src)
 	m.MsgsSent++
 	return true
 }
@@ -273,37 +316,28 @@ func (m *Mesh) serCycles(msg Message) sim.Cycle {
 // all-or-nothing: if any needed out-link queue is full, nothing moves
 // and route reports false.
 func (m *Mesh) route(n int, msg Message) bool {
-	var perDir [numDirs]uint64
-	var local uint64
-	rest := msg.Dests
-	for rest != 0 {
-		d := trailingNode(rest)
-		rest &^= 1 << uint(d)
-		dir := m.routeDir(n, d)
-		if dir < 0 {
-			local |= 1 << uint(d)
-		} else {
-			perDir[dir] |= 1 << uint(d)
-		}
-	}
+	masks := &m.dirMask[n]
+	out := &m.out[n]
 	// Check capacity first (atomic forwarding).
-	for dir, mask := range perDir {
-		if mask != 0 && m.out[n][dir].q.Full() {
+	for dir, mask := range masks {
+		if msg.Dests&mask != 0 && out[dir].q.Full() {
 			return false
 		}
 	}
 	branches := 0
-	for dir, mask := range perDir {
-		if mask == 0 {
+	for dir, mask := range masks {
+		if mask &= msg.Dests; mask == 0 {
 			continue
 		}
 		cp := msg
 		cp.Dests = mask
-		m.out[n][dir].q.Push(cp)
+		l := out[dir]
+		l.q.Push(cp)
+		m.queued[l.idx>>6] |= 1 << uint(l.idx&63)
 		m.linkN++
 		branches++
 	}
-	if local != 0 {
+	if local := msg.Dests & DestMask(n); local != 0 {
 		cp := msg
 		cp.Dests = local
 		m.eject[n].Push(cp)
@@ -320,85 +354,115 @@ func (m *Mesh) route(n int, msg Message) bool {
 // routers, then start new link transmissions. An empty mesh (no
 // injected or link-resident messages) ticks in O(1).
 func (m *Mesh) Tick(now sim.Cycle) {
-	if m.injectN == 0 && m.linkN == 0 {
+	if m.injectNodes == 0 && m.linkN == 0 {
 		return
 	}
+	// Arrivals due by now mature on their links and make them ready.
+	for {
+		i, ok := m.arrivals.Recv(now)
+		if !ok {
+			break
+		}
+		l := m.allLinks[i]
+		l.matured++
+		m.ready[l.to] |= 1 << l.slot
+		m.readyNodes |= DestMask(l.to)
+	}
 	// Phase A: routing. For each node, retry blocked heads, then route
-	// newly arrived messages, then drain the injection port.
-	for n := 0; n < m.nodes; n++ {
-		for _, l := range m.inLinks[n] {
-			if l.hasBlocked {
-				if m.route(n, l.blocked) {
-					l.blocked = Message{} // release the Body reference
-					l.hasBlocked = false
-					m.linkN--
-				}
-				continue // head-of-line blocking: nothing else this cycle
-			}
-			if msg, ok := l.inflight.Recv(now); ok {
-				m.linkN--
-				if !m.route(n, msg) {
-					l.blocked = msg
-					l.hasBlocked = true
-					m.linkN++
-				}
-			}
+	// newly arrived messages, then drain the injection port. A node's
+	// routing touches only its own in-links, out-link queues and
+	// ejection queue, so visiting only the nodes with work, in
+	// ascending order, is exactly the full scan.
+	for active := m.readyNodes | m.injectNodes; active != 0; active &= active - 1 {
+		n := bits.TrailingZeros64(active)
+		for r := m.ready[n]; r != 0; r &= r - 1 {
+			m.receive(n, m.inLinks[n][bits.TrailingZeros8(r)])
 		}
 		// Local injection (one message per cycle).
-		if msg, ok := m.inject[n].Peek(); ok {
-			if m.route(n, msg) {
-				m.inject[n].Pop()
-				m.injectN--
+		if q := m.inject[n]; !q.Empty() {
+			if msg, _ := q.Peek(); m.route(n, msg) {
+				if q.Pop(); q.Empty() {
+					m.injectNodes &^= DestMask(n)
+				}
 			}
 		}
 	}
-	// Phase B: link transmission.
-	for _, l := range m.allLinks {
-		if now < l.busyUntil {
-			continue
+	// Phase B: link transmission, in allLinks order.
+	for w, word := range m.queued {
+		for ; word != 0; word &= word - 1 {
+			bit := bits.TrailingZeros64(word)
+			l := m.allLinks[w<<6|bit]
+			if now < l.busyUntil {
+				continue
+			}
+			msg, _ := l.q.Pop()
+			if l.q.Empty() {
+				m.queued[w] &^= 1 << uint(bit)
+			}
+			ser := m.serCycles(msg)
+			l.busyUntil = now + ser
+			m.FlitCycles += int64(ser)
+			l.inflight.Push(msg)
+			m.arrivals.SendAt(now+ser+sim.Cycle(m.cfg.LinkLatency), l.idx)
+			if m.obs != nil {
+				m.obs.Emit(obs.Event{Cycle: int64(now), Dur: int64(ser),
+					Kind: obs.KindNoCHop, Comp: l.idx,
+					A: int64(msg.Bytes), B: int64(msg.Kind)})
+			}
 		}
-		msg, ok := l.q.Pop()
-		if !ok {
-			continue
+	}
+}
+
+// receive gives node n's ready in-link l its one routing attempt of the
+// cycle: retry a blocked head (head-of-line blocking: nothing else
+// moves on l this cycle), or route the oldest matured arrival. l stays
+// ready while it holds a blocked head or another matured arrival.
+func (m *Mesh) receive(n int, l *link) {
+	if l.hasBlocked {
+		if m.route(n, l.blocked) {
+			l.blocked = Message{} // release the Body reference
+			l.hasBlocked = false
+			m.linkN--
 		}
-		ser := m.serCycles(msg)
-		l.busyUntil = now + ser
-		m.FlitCycles += int64(ser)
-		l.inflight.SendAt(now+ser+sim.Cycle(m.cfg.LinkLatency), msg)
-		if m.obs != nil {
-			m.obs.Emit(obs.Event{Cycle: int64(now), Dur: int64(ser),
-				Kind: obs.KindNoCHop, Comp: l.idx,
-				A: int64(msg.Bytes), B: int64(msg.Kind)})
+	} else {
+		msg, _ := l.inflight.Pop()
+		l.matured--
+		if m.route(n, msg) {
+			m.linkN--
+		} else {
+			l.blocked = msg
+			l.hasBlocked = true
+		}
+	}
+	if !l.hasBlocked && l.matured == 0 {
+		if m.ready[n] &^= 1 << l.slot; m.ready[n] == 0 {
+			m.readyNodes &^= DestMask(n)
 		}
 	}
 }
 
 // NextEvent reports when the mesh's own Tick can next act: immediately
-// while any injection queue holds a message or any link has a blocked
-// head (both retried every cycle); at link-transmission start when a
-// link queue waits on its busy-until timer; at arrival maturity for
-// in-flight link traffic. Ejected messages are not mesh events — their
-// consumers forecast them via Deliverable. An empty mesh answers in
-// O(1).
+// while any injection queue holds a message or any in-link holds a
+// blocked head or a matured arrival (all retried every cycle); at link-
+// transmission start when a link queue waits on its busy-until timer;
+// at arrival maturity for in-flight link traffic. Ejected messages are
+// not mesh events — their consumers forecast them via Deliverable. The
+// answer comes from the counters, the arrival pipe's head and the
+// queued links alone.
 func (m *Mesh) NextEvent(now sim.Cycle) sim.Cycle {
-	if m.injectN > 0 {
+	if m.injectNodes|m.readyNodes != 0 {
 		return now
 	}
 	if m.linkN == 0 {
 		return sim.Never
 	}
-	ev := sim.Never
-	for _, l := range m.allLinks {
-		if l.hasBlocked {
-			return now
-		}
-		if at := l.inflight.NextAt(); at < ev {
-			if at <= now {
-				return now
-			}
-			ev = at
-		}
-		if !l.q.Empty() {
+	ev := m.arrivals.NextAt()
+	if ev <= now {
+		return now
+	}
+	for w, word := range m.queued {
+		for ; word != 0; word &= word - 1 {
+			l := m.allLinks[w<<6|bits.TrailingZeros64(word)]
 			if l.busyUntil <= now {
 				return now
 			}
@@ -414,27 +478,7 @@ func (m *Mesh) NextEvent(now sim.Cycle) sim.Cycle {
 // Ejection queues count: a message is in flight until its consumer pops
 // it.
 func (m *Mesh) Idle() bool {
-	return m.injectN == 0 && m.linkN == 0 && m.ejectN == 0
-}
-
-// residents recounts every buffered message directly from the queues;
-// tests use it to pin the incremental counters to ground truth.
-func (m *Mesh) residents() (inject, link, eject int) {
-	for n := 0; n < m.nodes; n++ {
-		inject += m.inject[n].Len()
-		eject += m.eject[n].Len()
-		for d := 0; d < numDirs; d++ {
-			l := m.out[n][d]
-			if l == nil {
-				continue
-			}
-			link += l.q.Len() + l.inflight.Len()
-			if l.hasBlocked {
-				link++
-			}
-		}
-	}
-	return
+	return m.injectNodes == 0 && m.linkN == 0 && m.ejectN == 0
 }
 
 func opposite(d int) int {
@@ -448,14 +492,4 @@ func opposite(d int) int {
 	default:
 		return dirN
 	}
-}
-
-// trailingNode returns the index of the lowest set bit.
-func trailingNode(mask uint64) int {
-	n := 0
-	for mask&1 == 0 {
-		mask >>= 1
-		n++
-	}
-	return n
 }

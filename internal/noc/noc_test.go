@@ -283,25 +283,85 @@ func TestPropertyAllDestinationsCovered(t *testing.T) {
 	}
 }
 
-// TestOccupancyCountersMatchQueues pins the O(1) occupancy counters
-// (which gate the empty-Tick early return, NextEvent, and Idle) to a
-// direct recount of every queue at every cycle of a contended
-// multicast-heavy run. A drifting counter would make Idle/NextEvent
-// lie and silently break fast-forwarding.
-func TestOccupancyCountersMatchQueues(t *testing.T) {
-	m := NewMesh(cfg(), 16)
-	check := func(now sim.Cycle) {
-		t.Helper()
-		inj, link, ej := m.residents()
-		if m.injectN != inj || m.linkN != link || m.ejectN != ej {
-			t.Fatalf("cycle %d: counters (inject=%d link=%d eject=%d) != recount (%d %d %d)",
-				now, m.injectN, m.linkN, m.ejectN, inj, link, ej)
-		}
-		if m.Idle() != (inj == 0 && link == 0 && ej == 0) {
-			t.Fatalf("cycle %d: Idle()=%v disagrees with recount (%d %d %d)",
-				now, m.Idle(), inj, link, ej)
+// residents recounts every buffered message directly from the queues,
+// to pin the incremental counters to ground truth.
+func residents(m *Mesh) (inject, link, eject int) {
+	for n := 0; n < m.nodes; n++ {
+		inject += m.inject[n].Len()
+		eject += m.eject[n].Len()
+	}
+	for _, l := range m.allLinks {
+		link += l.q.Len() + l.inflight.Len()
+		if l.hasBlocked {
+			link++
 		}
 	}
+	return
+}
+
+// checkResidents fails t unless the mesh's occupancy counters equal a
+// recount of its queues, and its bitsets agree with the queues: a node
+// is ready exactly where an in-link holds a blocked head or a matured
+// arrival, injecting exactly where its injection queue is non-empty,
+// and a link is queued exactly where its transmit queue is non-empty.
+func checkResidents(t *testing.T, m *Mesh, now sim.Cycle) {
+	t.Helper()
+	inj, link, ej := residents(m)
+	if m.linkN != link || m.ejectN != ej {
+		t.Fatalf("cycle %d: counters (link=%d eject=%d) != recount (%d %d)",
+			now, m.linkN, m.ejectN, link, ej)
+	}
+	if m.Idle() != (inj == 0 && link == 0 && ej == 0) {
+		t.Fatalf("cycle %d: Idle()=%v disagrees with recount (%d %d %d)",
+			now, m.Idle(), inj, link, ej)
+	}
+	var readyNodes, injectNodes uint64
+	for n := 0; n < m.nodes; n++ {
+		var ready uint8
+		for s, l := range m.inLinks[n] {
+			if l.hasBlocked || l.matured > 0 {
+				ready |= 1 << uint(s)
+			}
+			if l.matured < 0 || l.matured > l.inflight.Len() {
+				t.Fatalf("cycle %d: link %d has %d matured of %d in flight",
+					now, l.idx, l.matured, l.inflight.Len())
+			}
+		}
+		if m.ready[n] != ready {
+			t.Fatalf("cycle %d: node %d ready bits %04b, queues say %04b", now, n, m.ready[n], ready)
+		}
+		if ready != 0 {
+			readyNodes |= DestMask(n)
+		}
+		if !m.inject[n].Empty() {
+			injectNodes |= DestMask(n)
+		}
+	}
+	if m.readyNodes != readyNodes || m.injectNodes != injectNodes {
+		t.Fatalf("cycle %d: node sets ready=%#x inject=%#x, queues say %#x %#x",
+			now, m.readyNodes, m.injectNodes, readyNodes, injectNodes)
+	}
+	unmatured := 0
+	for i, l := range m.allLinks {
+		if queued := m.queued[i>>6]&(1<<uint(i&63)) != 0; queued == l.q.Empty() {
+			t.Fatalf("cycle %d: link %d queued bit %v with %d queued", now, i, queued, l.q.Len())
+		}
+		unmatured += l.inflight.Len() - l.matured
+	}
+	if unmatured != m.arrivals.Len() {
+		t.Fatalf("cycle %d: %d unmatured messages in flight, %d pending arrivals", now, unmatured, m.arrivals.Len())
+	}
+}
+
+// TestOccupancyCountersMatchQueues pins the O(1) occupancy counters
+// (which gate the empty-Tick early return, NextEvent, and Idle) and
+// the ready, injection and queued bitsets (which choose what Tick and
+// NextEvent visit) to a direct recount of every queue at every cycle
+// of a contended multicast-heavy run. A drifting counter or bit would
+// make Idle/NextEvent lie, or Tick skip work, and silently break
+// fast-forwarding.
+func TestOccupancyCountersMatchQueues(t *testing.T) {
+	m := NewMesh(cfg(), 16)
 	sent := 0
 	for now := sim.Cycle(0); now < 400; now++ {
 		// Mixed unicast + multicast injections keep links, blocked
@@ -318,9 +378,9 @@ func TestOccupancyCountersMatchQueues(t *testing.T) {
 				}
 			}
 		}
-		check(now)
+		checkResidents(t, m, now)
 		m.Tick(now)
-		check(now)
+		checkResidents(t, m, now)
 		// Pop only some nodes, so ejection queues back up.
 		for n := 0; n < 16; n += 2 {
 			for {
@@ -328,7 +388,7 @@ func TestOccupancyCountersMatchQueues(t *testing.T) {
 					break
 				}
 			}
-			check(now)
+			checkResidents(t, m, now)
 		}
 	}
 	if sent == 0 {
@@ -347,7 +407,7 @@ func TestOccupancyCountersMatchQueues(t *testing.T) {
 				}
 			}
 		}
-		check(now)
+		checkResidents(t, m, now)
 	}
-	check(5001)
+	checkResidents(t, m, 5001)
 }

@@ -6,7 +6,8 @@ package sim
 // queues — where the previous append/shift-slice representation leaked
 // capacity at the head and reallocated under steady-state traffic. The
 // ring reuses its storage, so a warmed deque pushes and pops without
-// allocating.
+// allocating. Its length is zero or a power of two, so indices wrap by
+// a mask.
 type Deque[T any] struct {
 	buf  []T
 	head int
@@ -24,7 +25,7 @@ func (d *Deque[T]) Push(v T) {
 	if d.size == len(d.buf) {
 		d.grow()
 	}
-	d.buf[(d.head+d.size)%len(d.buf)] = v
+	d.buf[(d.head+d.size)&(len(d.buf)-1)] = v
 	d.size++
 }
 
@@ -36,7 +37,7 @@ func (d *Deque[T]) Pop() (v T, ok bool) {
 	v = d.buf[d.head]
 	var zero T
 	d.buf[d.head] = zero
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.size--
 	return v, true
 }
@@ -57,9 +58,8 @@ func (d *Deque[T]) grow() {
 		n = 8
 	}
 	buf := make([]T, n)
-	for i := 0; i < d.size; i++ {
-		buf[i] = d.buf[(d.head+i)%len(d.buf)]
-	}
+	k := copy(buf, d.buf[d.head:])
+	copy(buf[k:], d.buf[:d.head])
 	d.buf = buf
 	d.head = 0
 }

@@ -171,3 +171,35 @@ func TestPipeNextAt(t *testing.T) {
 		t.Fatalf("NextAt after pop = %d, want 6", at)
 	}
 }
+
+// TestHorizonIndependentOfScanStart pins the horizon scan's order
+// independence: whichever component the scan asks first, the answer
+// is the cycle the full scan finds, through a run whose immediate
+// events move between components.
+func TestHorizonIndependentOfScanStart(t *testing.T) {
+	e := NewEngine()
+	e.FastForward = true
+	for _, s := range [][2]int{{7, 40}, {3, 90}, {11, 30}, {5, 60}} {
+		e.Register("pulser", &pulser{period: Cycle(s[0]), count: s[1]})
+	}
+	moved := 0
+	for step := 0; step < 400; step++ {
+		want := Never
+		for i := range e.regs {
+			want = min(want, max(e.regs[i].f.NextEvent(e.now), e.now))
+		}
+		for start := range e.regs {
+			e.hot = start
+			if got := e.horizon(); got != want {
+				t.Fatalf("cycle %d: horizon asking component %d first = %d, full scan %d", e.now, start, got, want)
+			}
+			if e.hot != start {
+				moved++
+			}
+		}
+		e.Step()
+	}
+	if moved == 0 {
+		t.Fatal("no scan ever moved to another component")
+	}
+}

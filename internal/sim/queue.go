@@ -39,7 +39,13 @@ func (q *Queue[T]) Push(v T) bool {
 	if q.size == q.cap {
 		return false
 	}
-	q.buf[(q.head+q.size)%q.cap] = v
+	// The capacity need not be a power of two, so the ring index wraps
+	// by a compare rather than a mask (or a division).
+	i := q.head + q.size
+	if i >= q.cap {
+		i -= q.cap
+	}
+	q.buf[i] = v
 	q.size++
 	return true
 }
@@ -62,7 +68,9 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % q.cap
+	if q.head++; q.head == q.cap {
+		q.head = 0
+	}
 	q.size--
 	return v, true
 }

@@ -131,7 +131,10 @@ type Engine struct {
 	// nForecast counts registered Forecasters; fast-forwarding engages
 	// only when it covers every ticker.
 	nForecast int
-	now       Cycle
+	// hot is the component whose immediate forecast ended the last
+	// horizon scan; the next scan starts there.
+	hot int
+	now Cycle
 	// MaxCycles aborts a run that fails to quiesce; a safety net for
 	// model bugs (deadlocked credit loops and the like). Zero means the
 	// DefaultMaxCycles limit.
@@ -215,13 +218,22 @@ func (e *Engine) quiescent() bool {
 }
 
 // horizon returns the earliest cycle ≥ e.now at which any component may
-// act, or Never. It early-exits as soon as any component reports an
-// immediate event, bounding the scan cost on busy cycles.
+// act, or Never. It returns as soon as any component reports an
+// immediate event, and starts the scan at the component that did so
+// last time: on busy stretches the same component acts cycle after
+// cycle, so the scan usually ends after one forecast. Forecasts have no
+// side effects and the answer is e.now or the minimum, so the order
+// cannot change it.
 func (e *Engine) horizon() Cycle {
 	h := Never
-	for i := range e.regs {
+	for k := range e.regs {
+		i := e.hot + k
+		if i >= len(e.regs) {
+			i -= len(e.regs)
+		}
 		ev := e.regs[i].f.NextEvent(e.now)
 		if ev <= e.now {
+			e.hot = i
 			return e.now
 		}
 		if ev < h {
@@ -245,7 +257,8 @@ func (e *Engine) skipTo(h Cycle) {
 // Run executes cycles until done() returns true and all components are
 // idle, returning the total executed cycles. done may be nil, in which
 // case only quiescence terminates the run. Run returns an error if the
-// cycle limit is exceeded, identifying the non-idle components.
+// cycle limit is exceeded, identifying the non-idle components, or, if
+// every component is idle, saying that done() is what never held.
 //
 // When FastForward is set and every component forecasts, Run skips
 // provably event-free stretches of cycles (see the package comment);
@@ -281,7 +294,11 @@ func (e *Engine) run(done func() bool) (Cycle, error) {
 			return e.now, nil
 		}
 		if e.now >= limit {
-			return e.now, fmt.Errorf("sim: cycle limit %d exceeded; busy components: %v", limit, e.busyNames())
+			busy := e.busyNames()
+			if len(busy) == 0 {
+				return e.now, fmt.Errorf("sim: cycle limit %d exceeded; every component is idle but the done predicate is unmet", limit)
+			}
+			return e.now, fmt.Errorf("sim: cycle limit %d exceeded; busy components: %v", limit, busy)
 		}
 		e.Step()
 		if !ff {
