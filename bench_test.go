@@ -23,7 +23,6 @@ import (
 	"taskstream/internal/config"
 	"taskstream/internal/experiments"
 	"taskstream/internal/parallel"
-	"taskstream/internal/proto"
 	"taskstream/internal/runplan"
 	"taskstream/internal/sim"
 	"taskstream/internal/workload"
@@ -160,33 +159,11 @@ func benchWorkload(b *testing.B, name string, v baseline.Variant) {
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }
 
-// Hot-path allocation benches (DESIGN.md §16): the recycled message-
-// body and pipe paths must run allocation-free in steady state. Both
-// benches assert allocs/op == 0 outright — a regression fails the
-// bench, not just a metric.
-
-func BenchmarkProtoAlloc(b *testing.B) {
-	pool := proto.NewPool()
-	cycle := func() {
-		req := pool.GetReq()
-		req.Line = 42
-		pool.PutReq(req)
-		resp := pool.GetResp()
-		resp.Line = 42
-		pool.PutResp(resp)
-		fwd := pool.GetFwd()
-		fwd.Count = 3
-		pool.PutFwd(fwd)
-	}
-	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		b.Fatalf("warmed body pools allocated %v allocs/op, want 0", n)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
-}
+// Hot-path allocation bench (DESIGN.md §16): the event pipe must run
+// allocation-free in steady state, and the bench asserts allocs/op == 0
+// outright — a regression fails the bench, not just a metric. The
+// memory-response path has the same check in core's
+// TestMemResponsesAllocateNothing.
 
 func BenchmarkPipePush(b *testing.B) {
 	p := sim.NewPipe[uint64](4)

@@ -53,10 +53,9 @@ type coordinator struct {
 	spawnInFlight int
 
 	// Stats.
-	Dispatched   int64
-	Spawned      int64
-	FwdPairs     int64
-	BarrierWaits int64
+	Dispatched int64
+	Spawned    int64
+	FwdPairs   int64
 }
 
 func newCoordinator(m *Machine, policy Policy) *coordinator {
@@ -165,15 +164,6 @@ func (c *coordinator) NextEvent(now sim.Cycle) sim.Cycle {
 	return ev
 }
 
-// Skip replays the barrier-wait accounting of skipped cycles — every
-// cycle with an empty current-phase queue but active tasks records one
-// wait (the first dispatchOne call of that cycle's Tick would have).
-func (c *coordinator) Skip(from, to sim.Cycle) {
-	if len(c.pending[c.phase]) == 0 && c.activeCount[c.phase] > 0 {
-		c.BarrierWaits += int64(to - from)
-	}
-}
-
 // Tick drains control pipes, advances phases, runs the multicast
 // manager, and dispatches under the per-cycle budget.
 func (c *coordinator) Tick(now sim.Cycle) {
@@ -226,9 +216,6 @@ func (c *coordinator) Tick(now sim.Cycle) {
 // reporting success.
 func (c *coordinator) dispatchOne(now sim.Cycle) bool {
 	if len(c.pending[c.phase]) == 0 {
-		if c.activeCount[c.phase] > 0 {
-			c.BarrierWaits++
-		}
 		return false
 	}
 	return c.sched.Dispatch(&c.state, now)

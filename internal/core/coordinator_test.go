@@ -149,7 +149,7 @@ func TestMcastManagerGrouping(t *testing.T) {
 	if g1 != g2 {
 		t.Fatal("same-range joins within the window must share a group")
 	}
-	if g1.members != 2 || g1.dests != (1<<0|1<<3) {
+	if g1.dests != (1<<0 | 1<<3) {
 		t.Fatalf("group = %+v", g1)
 	}
 	if g1.lines != 2 {

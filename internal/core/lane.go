@@ -95,7 +95,7 @@ func newLane(id int, m *Machine) *Lane {
 		need:      make([]int, m.cfg.Fabric.NumPorts),
 		give:      make([]int, m.cfg.Fabric.NumPorts),
 	}
-	l.eng = stream.NewEngine(id, m.cfg, m.topo, m.mesh, spad, m.pool)
+	l.eng = stream.NewEngine(id, m.cfg, m.topo, m.mesh, spad)
 	return l
 }
 

@@ -58,15 +58,8 @@ type Machine struct {
 	coord    *coordinator
 	mcast    *mcastManager
 
-	// pool recycles message bodies for every lane and memory
-	// controller.
-	pool *proto.Pool
-
 	mappings []fabric.Mapping
 	tagData  map[uint64][]uint64
-	// tagForwarded records whether a tag was delivered by forwarding
-	// (paired dispatch) rather than through memory.
-	tagForwarded map[uint64]bool
 
 	now sim.Cycle
 	set *stats.Set
@@ -104,14 +97,13 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 		return nil, fmt.Errorf("core: %d nodes exceed the %d-node mesh limit", topo.Nodes(), noc.MaxNodes)
 	}
 	m := &Machine{
-		cfg:          cfg,
-		opts:         opts,
-		prog:         prog,
-		topo:         topo,
-		storage:      storage,
-		tagData:      make(map[uint64][]uint64),
-		tagForwarded: make(map[uint64]bool),
-		set:          stats.NewSet(),
+		cfg:     cfg,
+		opts:    opts,
+		prog:    prog,
+		topo:    topo,
+		storage: storage,
+		tagData: make(map[uint64][]uint64),
+		set:     stats.NewSet(),
 	}
 	m.mappings = make([]fabric.Mapping, len(prog.Types))
 	for i, tt := range prog.Types {
@@ -121,7 +113,6 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 		}
 		m.mappings[i] = mp
 	}
-	m.pool = proto.NewPool()
 	m.mesh = noc.NewMesh(cfg.NoC, topo.Nodes())
 	m.mcast = newMcastManager(sim.Cycle(cfg.Task.CoalesceWindowCycles), cfg.DRAM.LineBytes)
 	for c := 0; c < cfg.DRAM.Channels; c++ {
@@ -327,7 +318,10 @@ type memCtrl struct {
 	chn  int
 	node int // cached NoC node id
 	ch   *mem.Channel
-	held *noc.Message // response that could not inject (backpressure)
+	// held is the response that could not inject under backpressure
+	// (valid when hasHeld), kept by value so holding never allocates.
+	held    noc.Message
+	hasHeld bool
 }
 
 func newMemCtrl(m *Machine, chn int, ch *mem.Channel) *memCtrl {
@@ -344,20 +338,17 @@ func (mc *memCtrl) Tick(now sim.Cycle) {
 		if !ok {
 			break
 		}
-		body, ok := msg.Body.(*proto.MemReqBody)
-		if !ok {
-			panic(fmt.Sprintf("core: memctrl got %T", msg.Body))
+		if msg.Kind != noc.KindMemReq {
+			panic(fmt.Sprintf("core: memctrl got message kind %d", msg.Kind))
 		}
-		mc.ch.Submit(mem.Request{ID: body.ReqID, Line: body.Line, Write: body.Write})
-		// The controller is the single consumer of request bodies;
-		// recycle through the central pool (serial context).
-		mc.m.pool.PutReq(body)
+		_, write, _, _ := proto.SplitReqID(msg.A)
+		mc.ch.Submit(mem.Request{ID: msg.A, Line: mem.Addr(msg.B), Write: write})
 	}
 	// Responses: one injection attempt per cycle, holding under
 	// backpressure.
-	if mc.held != nil {
-		if mc.m.mesh.TryInject(*mc.held) {
-			mc.held = nil
+	if mc.hasHeld {
+		if mc.m.mesh.TryInject(mc.held) {
+			mc.hasHeld = false
 		}
 		return
 	}
@@ -365,49 +356,35 @@ func (mc *memCtrl) Tick(now sim.Cycle) {
 	if !ok {
 		return
 	}
-	var msg noc.Message
+	msg := noc.Message{Kind: noc.KindMemResp, Src: node, Bytes: mc.m.cfg.DRAM.LineBytes}
 	if req, isMcast := mc.m.mcast.lookup(r.ID); isMcast {
-		msg = noc.Message{
-			Kind:  noc.KindMemResp,
-			Src:   node,
-			Dests: req.Dests,
-			Bytes: mc.m.cfg.DRAM.LineBytes,
-			Body:  proto.McastLineBody{Group: req.Group, Seq: req.Seq},
-		}
+		msg.Mcast, msg.Dests = true, req.Dests
+		msg.A, msg.B = req.Group, uint64(req.Seq)
 		if s := mc.m.opts.Obs; s != nil {
 			s.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindMcastForward,
 				Comp: int32(mc.chn), A: int64(req.Group), B: int64(req.Seq)})
 		}
 	} else {
 		lane, _, _, _ := proto.SplitReqID(r.ID)
-		bytes := mc.m.cfg.DRAM.LineBytes
+		msg.Dests, msg.A = noc.DestMask(mc.m.lanes[lane].node), r.ID
 		if r.Write {
-			bytes = 0 // ack only
-		}
-		body := mc.m.pool.GetResp()
-		body.Line, body.Write, body.ReqID = r.Line, r.Write, r.ID
-		msg = noc.Message{
-			Kind:  noc.KindMemResp,
-			Src:   node,
-			Dests: noc.DestMask(mc.m.lanes[lane].node),
-			Bytes: bytes,
-			Body:  body,
+			msg.Bytes = 0 // ack only
 		}
 	}
 	if !mc.m.mesh.TryInject(msg) {
-		mc.held = &msg
+		mc.held, mc.hasHeld = msg, true
 	}
 }
 
 // Idle reports controller quiescence.
-func (mc *memCtrl) Idle() bool { return mc.held == nil && mc.ch.Idle() }
+func (mc *memCtrl) Idle() bool { return !mc.hasHeld && mc.ch.Idle() }
 
 // NextEvent reports when the controller can next act: immediately when
 // a held response can retry injection, NoC requests wait and the
 // channel can accept, or a matured response waits; at response maturity
 // otherwise.
 func (mc *memCtrl) NextEvent(now sim.Cycle) sim.Cycle {
-	if mc.held != nil {
+	if mc.hasHeld {
 		return now
 	}
 	if mc.m.mesh.Deliverable(mc.node) && mc.ch.QueueSpace() > 0 {

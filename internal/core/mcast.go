@@ -16,7 +16,6 @@ type mcastManager struct {
 	window    sim.Cycle
 	lineBytes int
 	nextID    uint64
-	nextReq   int64
 	// open groups by range key, still accepting joiners.
 	open map[mcastKey]*mcastGroup
 	// issuing groups that still have lines to submit to DRAM.
@@ -43,7 +42,6 @@ type mcastGroup struct {
 	id       uint64
 	key      mcastKey
 	dests    uint64 // lane-node mask
-	members  int
 	lines    int
 	headSkip int
 	closes   sim.Cycle
@@ -67,7 +65,6 @@ func (mm *mcastManager) join(base mem.Addr, n int, laneNode int, now sim.Cycle) 
 	key := mcastKey{base: base, n: n}
 	if g, ok := mm.open[key]; ok {
 		g.dests |= 1 << uint(laneNode)
-		g.members++
 		mm.MemberJoins++
 		mm.LinesSaved += int64(g.lines)
 		mm.obs.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindMcastHit,
@@ -84,7 +81,6 @@ func (mm *mcastManager) join(base mem.Addr, n int, laneNode int, now sim.Cycle) 
 		id:       mm.nextID,
 		key:      key,
 		dests:    1 << uint(laneNode),
-		members:  1,
 		lines:    lines,
 		headSkip: int(base-first) / mem.ElemBytes,
 		closes:   now + mm.window,

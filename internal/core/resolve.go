@@ -199,7 +199,6 @@ func (m *Machine) resolve(t Task, lane int, opts resolveOpts) (*resolved, error)
 			m.storage.WriteElems(o.Base, outVals)
 			if o.Tag == opts.fwdOutTag && opts.fwdOutTag != 0 {
 				// ConsumerLane/Port are patched by the coordinator.
-				m.tagForwarded[o.Tag] = true
 				r.outSet[p] = stream.WriteSetup{Kind: stream.DstForward, N: n,
 					ConsumerLane: -1, ConsumerPort: -1, Gate: opts.gate}
 			} else {

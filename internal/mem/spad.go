@@ -12,11 +12,9 @@ import (
 // lives in Storage like everything else, at addresses carved out of the
 // global space by the workload's allocator.
 type Spad struct {
-	cfg      config.Spad
-	pending  []*sim.Queue[Request]
-	resp     *sim.Pipe[Response]
-	Accesses int64
-	Conflict int64
+	cfg     config.Spad
+	pending []*sim.Queue[Request]
+	resp    *sim.Pipe[Response]
 }
 
 // SpadLatency is the access latency in cycles.
@@ -44,14 +42,10 @@ func (s *Spad) Submit(r Request) bool {
 
 // Tick services one access per bank per cycle.
 func (s *Spad) Tick(now sim.Cycle) {
-	for b, q := range s.pending {
+	for _, q := range s.pending {
 		r, ok := q.Pop()
 		if !ok {
 			continue
-		}
-		s.Accesses++
-		if b >= 0 && q.Len() > 0 {
-			s.Conflict++ // another access wanted this bank this cycle
 		}
 		s.resp.Send(now, Response{ID: r.ID, Line: r.Line, Write: r.Write})
 	}

@@ -49,14 +49,26 @@ const HeaderBytes = 8
 // MaxNodes bounds the mesh size; destination sets are 64-bit masks.
 const MaxNodes = 64
 
-// Message is one network transfer. Body is opaque to the network.
+// Message is one network transfer. It holds no pointers, so queues
+// copy it and nothing owns it. The network reads Src, Dests and Bytes,
+// and Kind for hop events; Mcast and the payload words A and B belong
+// to the protocol above it:
+//
+//	Kind         Mcast  A                             B
+//	KindMemReq   false  request ID (proto.MakeReqID)  line address
+//	KindMemResp  false  ID of the request it answers  unused
+//	KindMemResp  true   multicast group id            line sequence number
+//	KindForward  false  consumer input port           element count
+//
+// A request ID carries the write bit, so a write ack is a unicast
+// KindMemResp whose ID says write (and whose Bytes is 0).
 type Message struct {
 	Kind  Kind
+	Mcast bool
 	Src   int
 	Dests uint64 // bitmask of destination node ids
 	Bytes int    // payload bytes (header added internally)
-	ID    uint64
-	Body  any
+	A, B  uint64
 }
 
 // DestMask returns the bitmask for a single node.
@@ -420,7 +432,6 @@ func (m *Mesh) Tick(now sim.Cycle) {
 func (m *Mesh) receive(n int, l *link) {
 	if l.hasBlocked {
 		if m.route(n, l.blocked) {
-			l.blocked = Message{} // release the Body reference
 			l.hasBlocked = false
 			m.linkN--
 		}

@@ -16,7 +16,7 @@ func TestDeterministicDeliverySequence(t *testing.T) {
 			if dst == src {
 				dst = (dst + 1) % 9
 			}
-			msg := Message{Src: src, Dests: DestMask(dst), Bytes: int(8 + i%64), ID: i}
+			msg := Message{Src: src, Dests: DestMask(dst), Bytes: int(8 + i%64), A: i}
 			for !m.TryInject(msg) {
 				m.Tick(0)
 				for n := 0; n < 9; n++ {
@@ -37,7 +37,7 @@ func TestDeterministicDeliverySequence(t *testing.T) {
 					if !ok {
 						break
 					}
-					order = append(order, msg.ID)
+					order = append(order, msg.A)
 				}
 			}
 		}
@@ -58,7 +58,7 @@ func TestSameSourceDestOrderPreserved(t *testing.T) {
 	// Messages between one src-dst pair travel one path: FIFO order.
 	m := NewMesh(cfg(), 9)
 	for i := uint64(0); i < 8; i++ {
-		if !m.TryInject(Message{Src: 0, Dests: DestMask(8), Bytes: 8, ID: i}) {
+		if !m.TryInject(Message{Src: 0, Dests: DestMask(8), Bytes: 8, A: i}) {
 			t.Fatal("inject failed")
 		}
 	}
@@ -70,7 +70,7 @@ func TestSameSourceDestOrderPreserved(t *testing.T) {
 			if !ok {
 				break
 			}
-			got = append(got, msg.ID)
+			got = append(got, msg.A)
 		}
 	}
 	for i := range got {
@@ -83,7 +83,7 @@ func TestSameSourceDestOrderPreserved(t *testing.T) {
 func TestFlitAccounting(t *testing.T) {
 	m := NewMesh(cfg(), 4)
 	// 8B payload + 8B header = 16B = 1 flit at 16B/flit; 1 hop.
-	m.TryInject(Message{Src: 0, Dests: DestMask(1), Bytes: 8, ID: 1})
+	m.TryInject(Message{Src: 0, Dests: DestMask(1), Bytes: 8, A: 1})
 	for now := sim.Cycle(0); now < 50 && !m.Idle(); now++ {
 		m.Tick(now)
 		m.Pop(1)
@@ -116,7 +116,7 @@ func TestBroadcastToAll(t *testing.T) {
 	for d := 1; d < 16; d++ {
 		mask |= DestMask(d)
 	}
-	m.TryInject(Message{Src: 0, Dests: mask, Bytes: 64, ID: 42})
+	m.TryInject(Message{Src: 0, Dests: mask, Bytes: 64, A: 42})
 	seen := 0
 	for now := sim.Cycle(0); now < 1000 && !m.Idle(); now++ {
 		m.Tick(now)

@@ -38,12 +38,12 @@ func drain(t *testing.T, m *Mesh, maxCycles int) map[int][]Message {
 
 func TestUnicastDelivery(t *testing.T) {
 	m := NewMesh(cfg(), 9) // 3x3
-	msg := Message{Kind: KindMemReq, Src: 0, Dests: DestMask(8), Bytes: 8, ID: 42}
+	msg := Message{Kind: KindMemReq, Src: 0, Dests: DestMask(8), Bytes: 8, A: 42}
 	if !m.TryInject(msg) {
 		t.Fatal("inject failed")
 	}
 	got := drain(t, m, 100)
-	if len(got[8]) != 1 || got[8][0].ID != 42 {
+	if len(got[8]) != 1 || got[8][0].A != 42 {
 		t.Fatalf("node 8 got %v", got[8])
 	}
 	for n := 0; n < 8; n++ {
@@ -55,9 +55,9 @@ func TestUnicastDelivery(t *testing.T) {
 
 func TestSelfDelivery(t *testing.T) {
 	m := NewMesh(cfg(), 4)
-	m.TryInject(Message{Src: 2, Dests: DestMask(2), Bytes: 8, ID: 7})
+	m.TryInject(Message{Src: 2, Dests: DestMask(2), Bytes: 8, A: 7})
 	got := drain(t, m, 50)
-	if len(got[2]) != 1 || got[2][0].ID != 7 {
+	if len(got[2]) != 1 || got[2][0].A != 7 {
 		t.Fatalf("self delivery failed: %v", got[2])
 	}
 }
@@ -67,7 +67,7 @@ func TestUnicastLatencyScalesWithHops(t *testing.T) {
 	// hops. Measure delivery cycles.
 	deliverAt := func(dest int) sim.Cycle {
 		m := NewMesh(cfg(), 16)
-		m.TryInject(Message{Src: 0, Dests: DestMask(dest), Bytes: 8, ID: 1})
+		m.TryInject(Message{Src: 0, Dests: DestMask(dest), Bytes: 8, A: 1})
 		for now := sim.Cycle(0); now < 100; now++ {
 			m.Tick(now)
 			if _, ok := m.Pop(dest); ok {
@@ -92,10 +92,10 @@ func TestUnicastLatencyScalesWithHops(t *testing.T) {
 func TestMulticastDeliversToAllAndCountsReplicas(t *testing.T) {
 	m := NewMesh(cfg(), 16)
 	dests := DestMask(3) | DestMask(12) | DestMask(15)
-	m.TryInject(Message{Kind: KindMemResp, Src: 0, Dests: dests, Bytes: 64, ID: 9})
+	m.TryInject(Message{Kind: KindMemResp, Src: 0, Dests: dests, Bytes: 64, A: 9})
 	got := drain(t, m, 200)
 	for _, d := range []int{3, 12, 15} {
-		if len(got[d]) != 1 || got[d][0].ID != 9 {
+		if len(got[d]) != 1 || got[d][0].A != 9 {
 			t.Fatalf("dest %d got %v", d, got[d])
 		}
 	}
@@ -113,12 +113,12 @@ func TestMulticastCheaperThanUnicasts(t *testing.T) {
 	for _, d := range dests {
 		mask |= DestMask(d)
 	}
-	mc.TryInject(Message{Src: 0, Dests: mask, Bytes: 64, ID: 1})
+	mc.TryInject(Message{Src: 0, Dests: mask, Bytes: 64, A: 1})
 	drain(t, mc, 300)
 
 	uc := NewMesh(cfg(), 16)
 	for i, d := range dests {
-		uc.TryInject(Message{Src: 0, Dests: DestMask(d), Bytes: 64, ID: uint64(i)})
+		uc.TryInject(Message{Src: 0, Dests: DestMask(d), Bytes: 64, A: uint64(i)})
 	}
 	drain(t, uc, 300)
 
@@ -133,7 +133,7 @@ func TestManyMessagesAllDelivered(t *testing.T) {
 	for src := 0; src < 12; src++ {
 		for i := 0; i < per; i++ {
 			dst := (src + i + 1) % 12
-			msg := Message{Src: src, Dests: DestMask(dst), Bytes: 32, ID: uint64(src*1000 + i)}
+			msg := Message{Src: src, Dests: DestMask(dst), Bytes: 32, A: uint64(src*1000 + i)}
 			for !m.TryInject(msg) {
 				m.Tick(0) // make room under backpressure
 				for n := 0; n < 12; n++ {
@@ -165,7 +165,7 @@ func TestManyMessagesAllDelivered(t *testing.T) {
 func TestInjectBackpressure(t *testing.T) {
 	m := NewMesh(cfg(), 4)
 	n := 0
-	for m.TryInject(Message{Src: 0, Dests: DestMask(3), Bytes: 64, ID: uint64(n)}) {
+	for m.TryInject(Message{Src: 0, Dests: DestMask(3), Bytes: 64, A: uint64(n)}) {
 		n++
 		if n > 1000 {
 			t.Fatal("injection never backpressures")
@@ -203,7 +203,7 @@ func TestRaggedMeshNodesReachable(t *testing.T) {
 	id := uint64(0)
 	for s := 0; s < 7; s++ {
 		for d := 0; d < 7; d++ {
-			for !m.TryInject(Message{Src: s, Dests: DestMask(d), Bytes: 8, ID: id}) {
+			for !m.TryInject(Message{Src: s, Dests: DestMask(d), Bytes: 8, A: id}) {
 				m.Tick(0)
 				for n := 0; n < 7; n++ {
 					for {
@@ -227,7 +227,7 @@ func TestBigMessageSerialization(t *testing.T) {
 	// 1-hop transfer must take ≥5 cycles longer than an 8B one.
 	timeFor := func(bytes int) sim.Cycle {
 		m := NewMesh(cfg(), 4)
-		m.TryInject(Message{Src: 0, Dests: DestMask(1), Bytes: bytes, ID: 1})
+		m.TryInject(Message{Src: 0, Dests: DestMask(1), Bytes: bytes, A: 1})
 		for now := sim.Cycle(0); now < 100; now++ {
 			m.Tick(now)
 			if _, ok := m.Pop(1); ok {
@@ -254,7 +254,7 @@ func TestPropertyAllDestinationsCovered(t *testing.T) {
 		}
 		src := int(rawSrc) % nodes
 		m := NewMesh(cfg(), nodes)
-		if !m.TryInject(Message{Src: src, Dests: mask, Bytes: 16, ID: 5}) {
+		if !m.TryInject(Message{Src: src, Dests: mask, Bytes: 16, A: 5}) {
 			return false
 		}
 		seen := uint64(0)
@@ -266,7 +266,7 @@ func TestPropertyAllDestinationsCovered(t *testing.T) {
 					if !ok {
 						break
 					}
-					if msg.ID != 5 || seen&DestMask(n) != 0 {
+					if msg.A != 5 || seen&DestMask(n) != 0 {
 						return false // duplicate or foreign delivery
 					}
 					seen |= DestMask(n)

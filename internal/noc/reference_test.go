@@ -149,7 +149,6 @@ func (m *refMesh) Tick(now sim.Cycle) {
 		for _, l := range m.inLinks[n] {
 			if l.hasBlocked {
 				if m.route(n, l.blocked) {
-					l.blocked = Message{}
 					l.hasBlocked = false
 					m.linkN--
 				}
@@ -234,8 +233,9 @@ func refTrailingNode(mask uint64) int {
 // same seeded random traffic — unicast and multicast, on the suite's
 // and serve-mixed's mesh shapes (ragged rows included), with one- and
 // two-deep buffers so heads block — and compares every cycle: the
-// forecast, each node's ejections in order, the stats, Idle, and the
-// KindNoCHop event stream. Half the runs tick every cycle; the other
+// forecast, each node's ejections in order (whole messages with random
+// payload words and multicast flags, so every copy must arrive
+// intact), the stats, Idle, and the KindNoCHop event stream. Half the runs tick every cycle; the other
 // half tick only when the forecast says the mesh can act, as the
 // engine's SkipIdle does, and jump idle stretches as fast-forwarding
 // does.
@@ -265,8 +265,8 @@ func diffAgainstReference(t *testing.T, c config.NoC, nodes int, seed int64, eve
 		// block, and the mesh also drains to idle.
 		if now < cycles-400 && now%600 < 400 {
 			for k := rng.Intn(nodes); k > 0; k-- {
-				msg := Message{Kind: Kind(rng.Intn(3)), Src: rng.Intn(nodes),
-					Bytes: 8 * (1 + rng.Intn(8)), ID: id}
+				msg := Message{Kind: Kind(rng.Intn(3)), Mcast: rng.Intn(2) == 0,
+					Src: rng.Intn(nodes), Bytes: 8 * (1 + rng.Intn(8)), A: id, B: rng.Uint64()}
 				if rng.Intn(4) == 0 {
 					msg.Dests = rng.Uint64() & all
 				}

@@ -1,8 +1,9 @@
 // Package proto defines the on-chip protocol shared by the stream
 // engines, the memory controllers, and the TaskStream coordinator: the
-// node topology, the message body types carried over the NoC, and the
+// node topology, the coordinator's multicast fetch request, and the
 // request-ID codec that routes responses back to their issuing stream
-// context.
+// context. The NoC payload each message kind carries is documented on
+// noc.Message.
 package proto
 
 import (
@@ -62,21 +63,6 @@ func (t Topology) isMemNode(node int) bool {
 	return false
 }
 
-// MemReqBody is a lane→memory line request.
-type MemReqBody struct {
-	Line  mem.Addr
-	Write bool
-	// ReqID identifies the issuing stream context (see MakeReqID).
-	ReqID uint64
-}
-
-// MemRespBody is a memory→lane unicast line response or write ack.
-type MemRespBody struct {
-	Line  mem.Addr
-	Write bool
-	ReqID uint64
-}
-
 // McastReq is a coordinator-issued group fetch handed directly to a
 // memory controller (the paper's task-management control path).
 type McastReq struct {
@@ -84,19 +70,6 @@ type McastReq struct {
 	Group uint64
 	Seq   int
 	Dests uint64 // lane-node destination mask for the response
-}
-
-// McastLineBody is a memory→lanes multicast line delivery.
-type McastLineBody struct {
-	Group uint64
-	Seq   int
-}
-
-// ForwardBody is producer→consumer pipelined task data: Count elements
-// for the consumer's input port Port.
-type ForwardBody struct {
-	Port  int
-	Count int
 }
 
 // Request-ID codec. A ReqID packs (lane, write-flag, port, sequence) so

@@ -26,7 +26,6 @@ type Engine struct {
 	cfg       config.Config
 	inj       Injector
 	spad      *mem.Spad
-	pool      *proto.Pool
 	reads     []*readCtx
 	writes    []*writeCtx
 	maxOut    int // per-context outstanding line requests
@@ -74,21 +73,14 @@ const (
 	ctxIDSpace  = 64
 )
 
-// NewEngine builds a stream engine for the given lane. pool supplies
-// the recycled message bodies the engine sends and frees (the
-// machine's shared pool); nil means a private unshared pool, which
-// keeps standalone construction simple in tests.
-func NewEngine(lane int, cfg config.Config, topo proto.Topology, inj Injector, spad *mem.Spad, pool *proto.Pool) *Engine {
-	if pool == nil {
-		pool = proto.NewPool()
-	}
+// NewEngine builds a stream engine for the given lane.
+func NewEngine(lane int, cfg config.Config, topo proto.Topology, inj Injector, spad *mem.Spad) *Engine {
 	e := &Engine{
 		lane:      lane,
 		topo:      topo,
 		cfg:       cfg,
 		inj:       inj,
 		spad:      spad,
-		pool:      pool,
 		maxOut:    32,
 		reqBudget: 4,
 		mcBuf:     make(map[uint64]map[int]bool),
@@ -129,12 +121,11 @@ type readCtx struct {
 	avail    int // elements deliverable to the fabric
 
 	// SrcDRAM / SrcSpad value spans.
-	spans    []Span
-	issued   int
-	arrived  []bool
-	prefix   int // spans arrived in prefix order
-	outst    int
-	elemsArr int // elements covered by the arrived prefix
+	spans   []Span
+	issued  int
+	arrived []bool
+	prefix  int // spans arrived in prefix order
+	outst   int
 
 	// Gather index spans (SrcDRAM only).
 	idxSpans   []Span
@@ -152,7 +143,6 @@ type readCtx struct {
 
 	// SrcMulticast.
 	group    uint64
-	mcLines  int
 	mcArr    []bool
 	mcCount  int
 	headSkip int
@@ -202,7 +192,6 @@ func (e *Engine) newReadCtx(s ReadSetup) *readCtx {
 	case SrcForward:
 	case SrcMulticast:
 		ctx.group = s.Group
-		ctx.mcLines = s.Lines
 		ctx.mcArr = make([]bool, s.Lines)
 		ctx.headSkip = s.HeadSkip
 		// Replay lines that arrived before the port was programmed.
@@ -551,21 +540,18 @@ func (e *Engine) issueWrite(p, budget int) int {
 			if k > e.cfg.Fabric.PortWidth {
 				k = e.cfg.Fabric.PortWidth
 			}
-			body := e.pool.GetFwd()
-			body.Port, body.Count = c.consumerPort, k
 			msg := noc.Message{
 				Kind:  noc.KindForward,
 				Src:   e.selfNode,
 				Dests: noc.DestMask(e.laneNodes[c.consumerLane]),
 				Bytes: k * mem.ElemBytes,
-				Body:  body,
+				A:     uint64(c.consumerPort),
+				B:     uint64(k),
 			}
 			if e.inj.TryInject(msg) {
 				c.pending -= k
 				c.fwdShipped += k
 				e.FwdMsgsSent++
-			} else {
-				e.pool.PutFwd(body)
 			}
 		}
 	}
@@ -579,19 +565,15 @@ func (e *Engine) sendLineReq(line mem.Addr, write bool, port int, seq int64) boo
 	if write {
 		bytes = e.cfg.DRAM.LineBytes // write data travels with the request
 	}
-	body := e.pool.GetReq()
-	body.Line = line
-	body.Write = write
-	body.ReqID = proto.MakeReqID(e.lane, write, port, seq)
 	msg := noc.Message{
 		Kind:  noc.KindMemReq,
 		Src:   e.selfNode,
 		Dests: noc.DestMask(e.memNodes[chn]),
 		Bytes: bytes,
-		Body:  body,
+		A:     proto.MakeReqID(e.lane, write, port, seq),
+		B:     uint64(line),
 	}
 	if !e.inj.TryInject(msg) {
-		e.pool.PutReq(body)
 		return false
 	}
 	if write {
@@ -602,15 +584,31 @@ func (e *Engine) sendLineReq(line mem.Addr, write bool, port int, seq int64) boo
 	return true
 }
 
-// OnMessage handles a NoC delivery addressed to this lane. The lane is
-// the single consumer of *MemRespBody and *ForwardBody deliveries, so
-// it frees them back to its pool here — immediately after extracting
-// their fields, before any early return.
+// OnMessage handles a NoC delivery addressed to this lane: a memory
+// response (a unicast line or write ack, or a multicast line) or a
+// forward.
 func (e *Engine) OnMessage(msg noc.Message) {
-	switch body := msg.Body.(type) {
-	case *proto.MemRespBody:
-		lane, write, route, seq := proto.SplitReqID(body.ReqID)
-		e.pool.PutResp(body)
+	switch {
+	case msg.Kind == noc.KindMemResp && msg.Mcast:
+		group, seq := msg.A, int(msg.B)
+		buf := e.mcBuf[group]
+		if buf == nil {
+			buf = make(map[int]bool)
+			e.mcBuf[group] = buf
+		}
+		buf[seq] = true
+		for _, c := range e.reads {
+			if c.kind != SrcMulticast || c.group != group {
+				continue
+			}
+			if seq < len(c.mcArr) && !c.mcArr[seq] {
+				c.mcArr[seq] = true
+				c.mcCount++
+				e.advanceMcast(c)
+			}
+		}
+	case msg.Kind == noc.KindMemResp:
+		lane, write, route, seq := proto.SplitReqID(msg.A)
 		if lane != e.lane {
 			panic("stream: response for another lane")
 		}
@@ -648,26 +646,8 @@ func (e *Engine) OnMessage(msg noc.Message) {
 				Comp: int32(e.lane), A: seq, B: int64(c.avail - before)})
 		}
 		e.retireIfDone(c)
-	case proto.McastLineBody:
-		buf := e.mcBuf[body.Group]
-		if buf == nil {
-			buf = make(map[int]bool)
-			e.mcBuf[body.Group] = buf
-		}
-		buf[body.Seq] = true
-		for _, c := range e.reads {
-			if c.kind != SrcMulticast || c.group != body.Group {
-				continue
-			}
-			if body.Seq < len(c.mcArr) && !c.mcArr[body.Seq] {
-				c.mcArr[body.Seq] = true
-				c.mcCount++
-				e.advanceMcast(c)
-			}
-		}
-	case *proto.ForwardBody:
-		port, count := body.Port, body.Count
-		e.pool.PutFwd(body)
+	case msg.Kind == noc.KindForward:
+		port, count := int(msg.A), int(msg.B)
 		c := e.reads[port]
 		if c.kind != SrcForward {
 			panic("stream: forward delivery to non-forward port")
@@ -675,7 +655,7 @@ func (e *Engine) OnMessage(msg noc.Message) {
 		c.avail += count
 		e.FwdElemsRecv += int64(count)
 	default:
-		panic(fmt.Sprintf("stream: unexpected message body %T", msg.Body))
+		panic(fmt.Sprintf("stream: unexpected message kind %d", msg.Kind))
 	}
 }
 

@@ -35,15 +35,11 @@ func (l *loopback) TryInject(msg noc.Message) bool {
 		return false
 	}
 	l.sent = append(l.sent, msg)
-	switch body := msg.Body.(type) {
-	case *proto.MemReqBody:
-		resp := noc.Message{
-			Kind:  noc.KindMemResp,
-			Dests: noc.DestMask(msg.Src),
-			Body:  &proto.MemRespBody{Line: body.Line, Write: body.Write, ReqID: body.ReqID},
-		}
+	switch msg.Kind {
+	case noc.KindMemReq:
+		resp := noc.Message{Kind: noc.KindMemResp, Dests: noc.DestMask(msg.Src), A: msg.A}
 		l.pipe.SendAt(l.now+l.delay, resp)
-	case *proto.ForwardBody:
+	case noc.KindForward:
 		l.pipe.SendAt(l.now+l.delay, msg)
 	}
 	return true
@@ -148,7 +144,7 @@ func TestGatherAddrs(t *testing.T) {
 func newTestEngine(lb *loopback, lane int) *Engine {
 	cfg := testCfg()
 	spad := mem.NewSpad(cfg.Spad)
-	e := NewEngine(lane, cfg, lb.topo, lb, spad, nil)
+	e := NewEngine(lane, cfg, lb.topo, lb, spad)
 	lb.engines[lane] = e
 	return e
 }
@@ -203,9 +199,8 @@ func TestGatherGatedOnIndices(t *testing.T) {
 	if len(lb.sent) == 0 {
 		t.Fatal("no request issued")
 	}
-	first := lb.sent[0].Body.(*proto.MemReqBody)
-	if first.Line != 0x1000 {
-		t.Fatalf("first request line %#x, want index line 0x1000", first.Line)
+	if first := lb.sent[0].B; first != 0x1000 {
+		t.Fatalf("first request line %#x, want index line 0x1000", first)
 	}
 	// Values become available only after idx (10) + value (10) round trips.
 	var availAt sim.Cycle = -1
@@ -340,7 +335,7 @@ func TestMulticastArrival(t *testing.T) {
 	// the first line and runs 20 elements.
 	e.SetupRead(0, ReadSetup{Kind: SrcMulticast, N: 20, Group: 7, Lines: 3, HeadSkip: 2})
 	deliver := func(seq int) {
-		e.OnMessage(noc.Message{Kind: noc.KindMemResp, Body: proto.McastLineBody{Group: 7, Seq: seq}})
+		e.OnMessage(noc.Message{Kind: noc.KindMemResp, Mcast: true, A: 7, B: uint64(seq)})
 	}
 	// Landing-buffer semantics: availability tracks arrived-line count
 	// (out-of-order arrivals are buffered and drained in stream order).

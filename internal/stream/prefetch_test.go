@@ -53,9 +53,8 @@ func TestPrefetchUsesLeftoverBudgetOnly(t *testing.T) {
 	lb.tick(e)
 	// All first-cycle requests must target the current stream.
 	for _, msg := range lb.sent {
-		body := msg.Body.(*proto.MemReqBody)
-		if body.Line >= 0x8000 {
-			t.Fatalf("prefetch request issued ahead of current task: %#x", body.Line)
+		if line := msg.B; line >= 0x8000 {
+			t.Fatalf("prefetch request issued ahead of current task: %#x", line)
 		}
 	}
 	if len(lb.sent) == 0 {
@@ -139,9 +138,5 @@ func TestEmptyStreamRetiresImmediately(t *testing.T) {
 
 // mkForward builds a forward-delivery message for tests.
 func mkForward(srcNode, port, count int) noc.Message {
-	return noc.Message{
-		Kind: noc.KindForward,
-		Src:  srcNode,
-		Body: &proto.ForwardBody{Port: port, Count: count},
-	}
+	return noc.Message{Kind: noc.KindForward, Src: srcNode, A: uint64(port), B: uint64(count)}
 }
