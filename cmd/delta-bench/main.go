@@ -52,7 +52,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	server := flag.String("server", "", "resolve simulations through the delta-serve daemon at this URL")
 	hostprof := flag.Bool("hostprof", false,
-		"report the engine run meter: runs, executed vs fast-forwarded cycles and wall time to stderr, cycle counts as a -json ffstats entry (stdout unchanged)")
+		"report the engine run meter: runs, executed vs fast-forwarded cycles, component ticks and wall time to stderr, cycle and tick counts as a -json ffstats entry (stdout unchanged)")
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "delta-bench: -j must be >= 1 (got %d)\n", *jobs)
@@ -164,7 +164,8 @@ type jsonResult struct {
 }
 
 // ffstats is the -hostprof entry of the -json dump: the run meter's
-// cycle counts, without wall time, so the file stays deterministic.
+// cycle and tick counts, without wall time, so the file stays
+// deterministic.
 func ffstats(p sim.HostProf) experiments.Result {
 	return experiments.Result{
 		ID: "ffstats", Title: "fast-forward cycle accounting",
@@ -172,6 +173,7 @@ func ffstats(p sim.HostProf) experiments.Result {
 			"ff_runs":            float64(p.Runs),
 			"ff_executed_cycles": float64(p.ExecutedCycles),
 			"ff_skipped_cycles":  float64(p.SkippedCycles),
+			"ff_ticks":           float64(p.Ticks),
 		},
 	}
 }

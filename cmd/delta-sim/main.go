@@ -98,7 +98,7 @@ func main() {
 	flag.IntVar(&o.traceLimit, "trace-limit", 250000,
 		"max buffered trace events (0 = unbounded; metrics keep counting past the limit)")
 	flag.BoolVar(&o.hostprof, "hostprof", false,
-		"report the engine run meter: executed vs fast-forwarded cycles and wall time to stderr (results unchanged)")
+		"report the engine run meter: executed vs fast-forwarded cycles, component ticks and wall time to stderr (results unchanged)")
 	flag.Parse()
 
 	if err := o.validatePolicy(); err != nil {

@@ -52,6 +52,10 @@ type coordinator struct {
 	spawnsPipe    *sim.Pipe[Task]
 	spawnInFlight int
 
+	// wake signals the engine that a lane changed what the forecast
+	// reads: a control-pipe send or a freed queue slot.
+	wake sim.Waker
+
 	// Stats.
 	Dispatched int64
 	Spawned    int64
@@ -91,13 +95,15 @@ func (c *coordinator) accept(t Task) {
 // spawn is called by lanes announcing a child task (already delayed by
 // pipeline latency; the control-network latency is added here).
 func (c *coordinator) spawn(t Task) {
+	c.wake.Wake()
 	c.spawnInFlight++
-	c.spawnsPipe.Send(c.m.now, t)
+	c.spawnsPipe.Send(c.m.engine.Now(), t)
 }
 
 // complete is called by lanes when a task finishes.
 func (c *coordinator) complete(ev completeEvt) {
-	c.completions.Send(c.m.now, ev)
+	c.wake.Wake()
+	c.completions.Send(c.m.engine.Now(), ev)
 }
 
 // AllDone reports whether every task in every phase has completed and
@@ -302,6 +308,9 @@ func (c *coordinator) tryForwardGroup(choose func(weights []int64) []int) bool {
 	if err != nil {
 		panic(err)
 	}
+	for _, pl := range lanes[:len(producers)] {
+		cr.gateLanes |= 1 << uint(pl)
+	}
 	// Patch each producer's forward destination to the consumer's port.
 	for i, p := range producers {
 		ptag := p.ProducesTag()
@@ -371,7 +380,7 @@ func (c *coordinator) send(r *resolved, lane int) {
 				losing |= 1 << uint(i)
 			}
 		}
-		s.Emit(obs.Event{Cycle: int64(c.m.now), Kind: obs.KindDispatch,
+		s.Emit(obs.Event{Cycle: int64(c.m.engine.Now()), Kind: obs.KindDispatch,
 			Comp: int32(lane), A: r.hint, B: losing,
 			Name: c.m.prog.Types[r.typeID].Name})
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"taskstream/internal/mem"
@@ -212,6 +214,49 @@ func TestMcastManagerBackpressureRotates(t *testing.T) {
 	}
 }
 
+// TestMcastIssueAllocatesNothing: a group issuing under channel
+// refusal retries every cycle, and rotating the issue order must not
+// allocate.
+func TestMcastIssueAllocatesNothing(t *testing.T) {
+	mm := newMcastManager(0, 64)
+	mm.join(0x1000, 64, 0, 0) // 8 lines
+	refuse := func(proto.McastReq) bool { return false }
+	mm.tick(1, 8, refuse) // closes the group into the issue list
+	if len(mm.issuing) != 1 {
+		t.Fatalf("%d groups issuing, want 1", len(mm.issuing))
+	}
+	now := sim.Cycle(2)
+	if a := testing.AllocsPerRun(100, func() { mm.tick(now, 8, refuse); now++ }); a != 0 {
+		t.Fatalf("a refused issue attempt allocates %v times", a)
+	}
+}
+
+// TestMcastIssueOrder pins the round-robin issue order across groups,
+// refused and accepted submissions and a group finishing.
+func TestMcastIssueOrder(t *testing.T) {
+	mm := newMcastManager(0, 64)
+	mm.join(0x1000, 16, 0, 0) // group 1: 2 lines
+	mm.join(0x9000, 24, 1, 0) // group 2: 3 lines
+	mm.join(0x5000, 8, 2, 0)  // group 3: 1 line
+	var got []string
+	n := 0
+	submit := func(r proto.McastReq) bool {
+		n++
+		if n%3 == 0 {
+			return false // every third attempt meets backpressure
+		}
+		got = append(got, fmt.Sprintf("g%d.%d", r.Group, r.Seq))
+		return true
+	}
+	for now := sim.Cycle(1); !mm.drained(); now++ {
+		mm.tick(now, 2, submit)
+	}
+	want := "g1.0 g2.0 g1.1 g2.1 g2.2 g3.0"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("issue order %q, want %q", s, want)
+	}
+}
+
 func TestMcastDirectory(t *testing.T) {
 	mm := newMcastManager(0, 64)
 	req := proto.McastReq{Line: 0x40, Group: 9, Seq: 3, Dests: 0b110}
@@ -229,7 +274,9 @@ func TestSpawnControlLatency(t *testing.T) {
 	// A spawn announced at cycle c is not visible to dispatch before
 	// c+ctlLatency.
 	m := newIdleMachine(t, 2)
-	m.now = 100
+	for m.engine.Now() < 100 {
+		m.engine.Step()
+	}
 	m.coord.spawn(Task{Type: 0, Phase: 0,
 		Ins:  []InArg{{Kind: ArgDRAMLinear, Base: 64, N: 0}},
 		Outs: []OutArg{{Kind: OutDiscard, N: 0}}})

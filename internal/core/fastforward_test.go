@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"taskstream/internal/config"
 	"taskstream/internal/mem"
 	"taskstream/internal/obs"
+	"taskstream/internal/sim"
 )
 
 // runSnapshot executes a freshly generated program and captures
@@ -23,7 +25,11 @@ type runSnapshot struct {
 	skipped   int64 // fast-forwarded cycles; not compared
 }
 
-func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options) runSnapshot {
+// snapshotRandom runs a freshly generated program and captures its
+// runSnapshot. With checked set it first steps the machine to its end
+// one cycle at a time, calling the engine's missed-wake check after
+// every cycle; Run then only settles and reports.
+func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options, checked bool) runSnapshot {
 	t.Helper()
 	prog, st, outs := randomProgram(seed)
 	sink := obs.New(0)
@@ -32,13 +38,17 @@ func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options) 
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	// A sink turns fast-forwarding and micro-skip off; turn them back
-	// on as the options ask, so the lifecycle stream is observed under
-	// the execution strategy being compared. Only the lifecycle kinds
-	// are compared: per-cycle lane-state spans are what the sink
-	// normally forces cycle-by-cycle execution for.
+	// A sink makes every component tick every cycle; turn sleeping
+	// back on as the options ask, so the lifecycle stream is observed
+	// under the execution strategy being compared. Only the lifecycle
+	// kinds are compared: per-cycle lane-state spans are what the sink
+	// normally forces every-cycle execution for.
 	m.engine.FastForward = !opts.DisableFastForward
-	m.engine.SkipIdle = true
+	if checked {
+		if err := stepChecked(m); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
 	rep, err := m.Run()
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -61,6 +71,42 @@ func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options) 
 	return snap
 }
 
+// finished is Run's termination test for m: the done predicate holds
+// and every component is idle.
+func finished(m *Machine) bool {
+	if !m.coord.AllDone() || !m.mesh.Idle() {
+		return false
+	}
+	for _, l := range m.lanes {
+		if !l.Idle() {
+			return false
+		}
+	}
+	for c, mc := range m.memctrls {
+		if !mc.Idle() || !m.channels[c].Idle() {
+			return false
+		}
+	}
+	return true
+}
+
+// stepChecked steps m one cycle at a time until it finishes, and
+// reports the first cycle after which the engine's missed-wake check
+// fails: a component asleep past a cycle at which its forecast says it
+// would act, because an input reached it without a Wake.
+func stepChecked(m *Machine) error {
+	for !finished(m) {
+		if m.engine.Now() >= 1_000_000 {
+			return fmt.Errorf("not finished after %d cycles", m.engine.Now())
+		}
+		m.engine.Step()
+		if err := m.engine.CheckWakes(); err != nil {
+			return fmt.Errorf("cycle %d: %w", m.engine.Now()-1, err)
+		}
+	}
+	return nil
+}
+
 func diffSnapshots(t *testing.T, label string, ff, slow runSnapshot) {
 	t.Helper()
 	if ff.cycles != slow.cycles {
@@ -80,28 +126,42 @@ func diffSnapshots(t *testing.T, label string, ff, slow runSnapshot) {
 	}
 }
 
+// wakeVariants are the programs' execution models and machine shapes
+// the wake-driven engine is compared under. One DRAM channel, and 16
+// lanes on 2 channels, are where components sleep most.
+var wakeVariants = []struct {
+	name string
+	cfg  func() config.Config
+	opts Options
+}{
+	{"delta", func() config.Config { return testConfig(4) }, Options{}},
+	{"static", func() config.Config { return testConfig(4).StaticModel() }, Options{Policy: PolicyStatic}},
+	{"noisy-hints", func() config.Config { return testConfig(4) }, Options{Hints: HintNoisy}},
+	{"single-lane", func() config.Config { return testConfig(1) }, Options{}},
+	{"1-channel", func() config.Config { return withChannels(testConfig(8), 1) }, Options{}},
+	{"static-1-channel", func() config.Config { return withChannels(testConfig(8).StaticModel(), 1) },
+		Options{Policy: PolicyStatic}},
+	{"16-lanes-2-channels", func() config.Config { return withChannels(testConfig(16), 2) }, Options{}},
+}
+
+func withChannels(cfg config.Config, n int) config.Config {
+	cfg.DRAM.Channels = n
+	return cfg
+}
+
 // TestFastForwardByteIdentical is the tentpole invariant: for arbitrary
-// programs under every execution model, fast-forwarding must change
-// nothing observable — cycle counts, all statistics, per-lane busy
+// programs under every execution model, letting components sleep
+// between events must change nothing observable against ticking every
+// component every cycle — cycle counts, all statistics, per-lane busy
 // vectors, full lifecycle event streams, and results.
 func TestFastForwardByteIdentical(t *testing.T) {
-	variants := []struct {
-		name string
-		cfg  func() config.Config
-		opts Options
-	}{
-		{"delta", func() config.Config { return testConfig(4) }, Options{}},
-		{"static", func() config.Config { return testConfig(4).StaticModel() }, Options{Policy: PolicyStatic}},
-		{"noisy-hints", func() config.Config { return testConfig(4) }, Options{Hints: HintNoisy}},
-		{"single-lane", func() config.Config { return testConfig(1) }, Options{}},
-	}
 	var skipped int64
-	for _, v := range variants {
+	for _, v := range wakeVariants {
 		for seed := uint64(1); seed <= 8; seed++ {
 			ffOpts, slowOpts := v.opts, v.opts
 			slowOpts.DisableFastForward = true
-			ff := snapshotRandom(t, seed, v.cfg(), ffOpts)
-			slow := snapshotRandom(t, seed, v.cfg(), slowOpts)
+			ff := snapshotRandom(t, seed, v.cfg(), ffOpts, false)
+			slow := snapshotRandom(t, seed, v.cfg(), slowOpts, false)
 			diffSnapshots(t, fmt.Sprintf("%s seed %d", v.name, seed), ff, slow)
 			skipped += ff.skipped
 		}
@@ -111,10 +171,72 @@ func TestFastForwardByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWakeEdgesComplete runs the missed-wake check after every cycle of
+// random programs under every variant and the stress configuration, so
+// a dropped wake fails even where the results happen to match; the
+// checked runs must also match every-cycle ones.
+func TestWakeEdgesComplete(t *testing.T) {
+	run := func(label string, seed uint64, cfg config.Config, opts Options) {
+		slowOpts := opts
+		slowOpts.DisableFastForward = true
+		diffSnapshots(t, label, snapshotRandom(t, seed, cfg, opts, true), snapshotRandom(t, seed, cfg, slowOpts, false))
+	}
+	for _, v := range wakeVariants {
+		for seed := uint64(1); seed <= 3; seed++ {
+			run(fmt.Sprintf("%s seed %d", v.name, seed), seed, v.cfg(), v.opts)
+		}
+	}
+	for seed := uint64(30); seed <= 33; seed++ {
+		run(fmt.Sprintf("stress seed %d", seed), seed, stressConfig(), Options{})
+	}
+}
+
+// TestCheckWakesCatchesDroppedEdge drops each class of input edge in
+// turn, by wiring a zero Waker in its place, and requires the
+// missed-wake check to fail.
+func TestCheckWakesCatchesDroppedEdge(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop func(*wakers)
+	}{
+		{"coordinator", func(w *wakers) { w.coord = sim.Waker{} }},
+		{"lanes", func(w *wakers) { w.lanes = make([]sim.Waker, len(w.lanes)) }},
+		{"mesh", func(w *wakers) { w.mesh = sim.Waker{} }},
+		{"memctrls", func(w *wakers) { w.memctrls = make([]sim.Waker, len(w.memctrls)) }},
+		{"drams", func(w *wakers) { w.drams = make([]sim.Waker, len(w.drams)) }},
+	} {
+		prog, st, _ := randomProgram(3)
+		m, err := NewMachine(testConfig(4), prog, st, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.engine = sim.NewEngine()
+		m.engine.FastForward = true
+		w := m.register()
+		tc.drop(&w)
+		m.wire(w)
+		err = stepChecked(m)
+		if err == nil || !strings.Contains(err.Error(), "without a Wake") {
+			t.Errorf("%s wakes dropped: check reported %v", tc.name, err)
+		}
+	}
+}
+
 // TestFastForwardByteIdenticalUnderStress repeats the invariant with
 // tiny buffers everywhere: backpressure keeps components busy at every
 // horizon, exercising the retry-every-cycle forecast paths.
 func TestFastForwardByteIdenticalUnderStress(t *testing.T) {
+	stress := stressConfig()
+	for seed := uint64(30); seed <= 38; seed++ {
+		ff := snapshotRandom(t, seed, stress, Options{}, false)
+		slow := snapshotRandom(t, seed, stress, Options{DisableFastForward: true}, false)
+		diffSnapshots(t, fmt.Sprintf("stress seed %d", seed), ff, slow)
+	}
+}
+
+// stressConfig shrinks every buffer so backpressure keeps components
+// retrying.
+func stressConfig() config.Config {
 	stress := testConfig(3)
 	stress.NoC.VCDepth = 1
 	stress.NoC.FlitBytes = 8
@@ -122,11 +244,7 @@ func TestFastForwardByteIdenticalUnderStress(t *testing.T) {
 	stress.DRAM.Channels = 2
 	stress.Task.QueueDepth = 1
 	stress.Task.DispatchPerCycle = 1
-	for seed := uint64(30); seed <= 38; seed++ {
-		ff := snapshotRandom(t, seed, stress, Options{})
-		slow := snapshotRandom(t, seed, stress, Options{DisableFastForward: true})
-		diffSnapshots(t, fmt.Sprintf("stress seed %d", seed), ff, slow)
-	}
+	return stress
 }
 
 // TestGoldenCyclesFastForwardOff pins the golden timing with skipping

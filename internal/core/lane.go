@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"taskstream/internal/mem"
 	"taskstream/internal/obs"
 	"taskstream/internal/sim"
@@ -46,6 +48,9 @@ type Lane struct {
 	queue *sim.Queue[*resolved]
 	cur   *resolved
 	state laneState
+	// wake signals the engine that another component changed what the
+	// lane's forecast reads (DESIGN.md §11).
+	wake sim.Waker
 
 	configDone sim.Cycle
 	curType    int
@@ -102,8 +107,12 @@ func newLane(id int, m *Machine) *Lane {
 // QueueSpace returns free task-queue slots.
 func (l *Lane) QueueSpace() int { return l.queue.Cap() - l.queue.Len() }
 
-// enqueue accepts a dispatched task; the coordinator has verified space.
+// enqueue accepts a dispatched task; the coordinator has verified
+// space. The wake comes first: Skip counts busy cycles from the queue's
+// emptiness, so the cycles the lane slept through settle before the
+// push.
 func (l *Lane) enqueue(r *resolved) {
+	l.wake.Wake()
 	if !l.queue.Push(r) {
 		panic("core: lane queue overflow (coordinator must check QueueSpace)")
 	}
@@ -138,8 +147,9 @@ func (l *Lane) Tick(now sim.Cycle) {
 
 	switch l.state {
 	case laneIdle:
-		if r, ok := l.queue.Pop(); ok {
-			l.cur = r
+		if !l.queue.Empty() {
+			l.m.coord.wake.Wake() // the pop frees a slot its forecast reads
+			l.cur, _ = l.queue.Pop()
 			l.startTask(now)
 		}
 	case laneConfig:
@@ -260,6 +270,9 @@ func (l *Lane) startTask(now sim.Cycle) {
 	l.setDeltas(r)
 	l.nextFire = now
 	if r.startGate != nil {
+		for p := r.gateLanes; p != 0; p &= p - 1 {
+			l.m.lanes[bits.TrailingZeros64(p)].wake.Wake()
+		}
 		*r.startGate = true // unblock paired producers' forwarding
 	}
 	l.taskEvent(now, obs.KindTaskStart, r)
@@ -396,10 +409,11 @@ func (l *Lane) Idle() bool {
 // engine has issuable work, a queued task can be popped or prefetched,
 // or an unstalled firing is due; at a timer otherwise (config done,
 // production/spawn maturity, deferred firing). A lane stalled on
-// unavailable inputs or output space contributes no event — the
-// component that will unblock it (mesh, DRAM, scratchpad, consumer
-// lane) bounds the horizon, and the per-cycle stall attribution those
-// skipped retry cycles would have recorded is replayed by Skip.
+// unavailable inputs or output space contributes no event: inputs
+// arrive by NoC delivery, which wakes it, or by scratchpad response,
+// which the forecast covers, and output space frees as its own stream
+// engine ships; Skip replays the per-cycle stall attribution of the
+// retry cycles it sleeps through.
 func (l *Lane) NextEvent(now sim.Cycle) sim.Cycle {
 	if l.m.mesh.Deliverable(l.node) {
 		return now
@@ -458,8 +472,9 @@ func (l *Lane) NextEvent(now sim.Cycle) sim.Cycle {
 // Skip replays the per-cycle accounting of skipped cycles [from, to):
 // busy-cycle counting whenever the lane holds work, and stall
 // attribution for every due-but-blocked firing attempt. The blocking
-// port cannot change during a skip (no component ticks, so no input
-// arrives), which is what makes the bulk update exact.
+// port cannot change while the lane sleeps (input arrives only with a
+// wake, which settles first), which is what makes the bulk update
+// exact.
 func (l *Lane) Skip(from, to sim.Cycle) {
 	if l.state != laneIdle || !l.queue.Empty() {
 		l.BusyCycles += int64(to - from)

@@ -26,18 +26,19 @@ type Options struct {
 	// stream (package obs): dispatch decisions, task starts and
 	// completions, lane state spans with stall attribution,
 	// stream-engine spans, multicast table activity, NoC hop and DRAM
-	// channel occupancy. Attaching a sink disables event-horizon
-	// fast-forwarding for the run so attribution is observed per cycle
-	// rather than synthesized — a switch the §11 byte-identity contract
-	// guarantees changes no cycle count or stat.
+	// channel occupancy. Attaching a sink turns fast-forwarding off for
+	// the run, so every component ticks every cycle and attribution is
+	// observed rather than synthesized — a switch the §11 byte-identity
+	// contract guarantees changes no cycle count or stat.
 	Obs *obs.Sink
 	// Vet runs the registered whole-program static verifier (see
 	// RegisterVetter; internal/analysis provides it) before the machine
 	// is wired. NewMachine fails if the program does not vet clean.
 	Vet bool
-	// DisableFastForward forces cycle-by-cycle execution. Fast-forward
-	// is on by default and byte-identical to it (DESIGN.md §11); this
-	// switch exists for the equality tests and for debugging.
+	// DisableFastForward ticks every component every cycle.
+	// Fast-forward, where components sleep between events, is on by
+	// default and byte-identical to it (DESIGN.md §11); this switch
+	// exists for the equality tests and for debugging.
 	DisableFastForward bool
 }
 
@@ -61,7 +62,6 @@ type Machine struct {
 	mappings []fabric.Mapping
 	tagData  map[uint64][]uint64
 
-	now sim.Cycle
 	set *stats.Set
 }
 
@@ -138,56 +138,65 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 	}
 
 	m.engine = sim.NewEngine()
+	// Components sleep between events unless a sink observes the run:
+	// lane-state spans are classified every cycle, so observed runs
+	// tick every component every cycle, byte-identically by the
+	// Forecaster contract.
 	m.engine.FastForward = !opts.DisableFastForward && opts.Obs == nil
-	// Per-ticker micro-skip inside executed cycles: byte-identical by
-	// the Forecaster contract. Off under observation for the same
-	// reason fast-forwarding is — per-cycle attribution (lane state
-	// classification, span extension) must be observed, not skipped.
-	m.engine.SkipIdle = opts.Obs == nil
 	if opts.MaxCycles > 0 {
 		m.engine.MaxCycles = opts.MaxCycles
 	}
-	m.engine.Register("clock", clockTicker{m: m})
-	m.engine.Register("coordinator", m.coord)
-	for i, l := range m.lanes {
-		m.engine.Register(fmt.Sprintf("lane%d", i), l)
-	}
-	m.engine.Register("mesh", m.mesh)
-	for c, mc := range m.memctrls {
-		m.engine.Register(fmt.Sprintf("memctrl%d", c), mc)
-	}
-	for c, ch := range m.channels {
-		m.engine.Register(fmt.Sprintf("dram%d", c), chanTicker{ch: ch})
-	}
+	m.wire(m.register())
 	return m, nil
 }
 
-// clockTicker publishes the engine's cycle into m.now. Registered
-// first, so every other component's Tick sees the fresh value. It
-// never originates events.
-type clockTicker struct{ m *Machine }
+// wakers holds each component's Waker, by component class.
+type wakers struct {
+	coord, mesh            sim.Waker
+	lanes, memctrls, drams []sim.Waker
+}
 
-func (c clockTicker) Tick(now sim.Cycle) { c.m.now = now }
+// register puts the components in tick order and returns their
+// Wakers.
+func (m *Machine) register() wakers {
+	e := m.engine
+	add := func(name string, t sim.Ticker) sim.Waker { return e.Waker(e.Register(name, t)) }
+	var w wakers
+	w.coord = add("coordinator", m.coord)
+	for i, l := range m.lanes {
+		w.lanes = append(w.lanes, add(fmt.Sprintf("lane%d", i), l))
+	}
+	w.mesh = add("mesh", m.mesh)
+	for c, mc := range m.memctrls {
+		w.memctrls = append(w.memctrls, add(fmt.Sprintf("memctrl%d", c), mc))
+	}
+	for c, ch := range m.channels {
+		w.drams = append(w.drams, add(fmt.Sprintf("dram%d", c), ch))
+	}
+	return w
+}
 
-func (c clockTicker) NextEvent(now sim.Cycle) sim.Cycle { return sim.Never }
-
-// Skip replays the clock's only per-cycle effect in bulk: after ticking
-// cycles [from, to) the last published value would be to-1. This is
-// what lets the forever-quiet clock participate in SkipIdle — its Skip
-// is exactly its Tick — without ever leaving m.now stale for the
-// components that read it (coordinator pipe stamps, obs events).
-func (c clockTicker) Skip(from, to sim.Cycle) { c.m.now = to - 1 }
-
-// chanTicker adapts a DRAM channel (its responses are drained by the
-// memory controller, so the channel itself only ticks).
-type chanTicker struct{ ch *mem.Channel }
-
-func (c chanTicker) Tick(now sim.Cycle) { c.ch.Tick(now) }
-func (c chanTicker) Idle() bool         { return c.ch.Idle() }
-
-func (c chanTicker) NextEvent(now sim.Cycle) sim.Cycle { return c.ch.NextEvent(now) }
-
-func (c chanTicker) Skip(from, to sim.Cycle) { c.ch.Skip(from, to) }
+// wire connects the input edges through which one component wakes
+// another (DESIGN.md §11): a lane wakes on enqueue, on a NoC delivery
+// and when its forward group's consumer opens the gate; the
+// coordinator when a lane pops its queue, spawns or completes; the
+// mesh on injection; a memory controller on a NoC delivery and when
+// its channel starts a service; a channel on submission.
+func (m *Machine) wire(w wakers) {
+	m.coord.wake = w.coord
+	sinks := make([]sim.Waker, m.topo.Nodes())
+	for i, l := range m.lanes {
+		l.wake = w.lanes[i]
+		sinks[l.node] = w.lanes[i]
+	}
+	for c, mc := range m.memctrls {
+		sinks[mc.node] = w.memctrls[c]
+	}
+	m.mesh.SetWake(w.mesh, sinks)
+	for c, ch := range m.channels {
+		ch.SetWake(w.drams[c], w.memctrls[c])
+	}
+}
 
 // Storage returns the functional store (for result verification).
 func (m *Machine) Storage() *mem.Storage { return m.storage }

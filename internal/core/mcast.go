@@ -132,7 +132,7 @@ func (mm *mcastManager) tick(now sim.Cycle, budget int, submit func(proto.McastR
 		}
 		if !submit(req) {
 			// Channel backpressure: rotate and give others a chance.
-			mm.issuing = append(mm.issuing[1:], g)
+			mm.rotate()
 			stuck++
 			continue
 		}
@@ -140,11 +140,28 @@ func (mm *mcastManager) tick(now sim.Cycle, budget int, submit func(proto.McastR
 		g.nextLine++
 		budget--
 		if g.nextLine == g.lines {
-			mm.issuing = mm.issuing[1:]
+			mm.retire()
 		} else {
-			mm.issuing = append(mm.issuing[1:], g)
+			mm.rotate()
 		}
 	}
+}
+
+// rotate moves the head issuing group to the back, in place, so the
+// round-robin never reallocates.
+func (mm *mcastManager) rotate() {
+	g := mm.issuing[0]
+	copy(mm.issuing, mm.issuing[1:])
+	mm.issuing[len(mm.issuing)-1] = g
+}
+
+// retire drops the head issuing group, in place, keeping the backing
+// array for groups that close later.
+func (mm *mcastManager) retire() {
+	n := len(mm.issuing) - 1
+	copy(mm.issuing, mm.issuing[1:])
+	mm.issuing[n] = nil
+	mm.issuing = mm.issuing[:n]
 }
 
 // nextEvent reports when the manager's tick can next do anything:

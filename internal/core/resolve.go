@@ -24,7 +24,10 @@ type resolved struct {
 	lane    int
 	// startGate, when non-nil, is opened when this task starts on its
 	// lane; paired producers ship forwarded elements only after that.
+	// gateLanes has a bit set for each paired producer's lane, the
+	// lanes the opening wakes.
 	startGate *bool
+	gateLanes uint64
 }
 
 // resolveOpts carry the coordinator's forwarding decisions into
@@ -123,7 +126,7 @@ func (m *Machine) resolve(t Task, lane int, opts resolveOpts) (*resolved, error)
 			setup := stream.ReadSetup{Kind: stream.SrcDRAM, N: in.N, Addrs: addrs}
 			if in.Shared && m.cfg.Task.EnableMulticast && in.Kind == ArgDRAMLinear {
 				// Join or open a multicast group for this range.
-				g := m.mcast.join(in.Base, in.N, m.lanes[lane].node, m.now)
+				g := m.mcast.join(in.Base, in.N, m.lanes[lane].node, m.engine.Now())
 				setup = stream.ReadSetup{
 					Kind:     stream.SrcMulticast,
 					N:        in.N,

@@ -47,6 +47,11 @@ type Channel struct {
 	// obsID is the channel index those events carry.
 	obs   *obs.Sink
 	obsID int32
+
+	// wake wakes the channel on Submit, and drain the component that
+	// drains its responses when a service starts. Zero Wakers (the
+	// default) do nothing.
+	wake, drain sim.Waker
 }
 
 // NewChannel returns a channel with the given DRAM parameters.
@@ -69,8 +74,23 @@ func (ch *Channel) SetObs(s *obs.Sink, id int32) {
 	ch.obsID = id
 }
 
+// SetWake connects the channel to the engine's input edges: self wakes
+// it when a request is submitted, and drain wakes its response drainer
+// when a service starts, which frees a queue slot and schedules a
+// response.
+func (ch *Channel) SetWake(self, drain sim.Waker) {
+	ch.wake, ch.drain = self, drain
+}
+
 // Submit enqueues a request, reporting false under backpressure.
-func (ch *Channel) Submit(r Request) bool { return ch.queue.Push(r) }
+func (ch *Channel) Submit(r Request) bool {
+	if ch.queue.Full() {
+		return false
+	}
+	ch.wake.Wake()
+	ch.queue.Push(r)
+	return true
+}
 
 // Tick advances the channel one cycle, starting service on the next
 // queued request when the data bus frees up.
@@ -79,10 +99,11 @@ func (ch *Channel) Tick(now sim.Cycle) {
 		ch.BusyCycles++
 		return
 	}
-	r, ok := ch.queue.Pop()
-	if !ok {
+	if ch.queue.Empty() {
 		return
 	}
+	ch.drain.Wake()
+	r, _ := ch.queue.Pop()
 	ch.BusyCycles++
 	ch.nextIssue = now + ch.servicePer
 	done := now + sim.Cycle(ch.cfg.LatencyCycles) + ch.servicePer

@@ -147,6 +147,14 @@ type Mesh struct {
 	linkN  int
 	ejectN int
 
+	// wake wakes the mesh on injection, and sinks[n] the component
+	// that drains node n's delivery queue; a Tick collects the nodes it
+	// delivered to in delivered and wakes their sinks once, after
+	// routing. Zero Wakers (the default) do nothing.
+	wake      sim.Waker
+	sinks     []sim.Waker
+	delivered uint64
+
 	// Stats.
 	MsgsSent   int64
 	FlitCycles int64
@@ -165,7 +173,7 @@ func NewMesh(cfg config.NoC, nodes int) *Mesh {
 	cols := int(math.Ceil(math.Sqrt(float64(nodes))))
 	rows := (nodes + cols - 1) / cols
 	m := &Mesh{cfg: cfg, nodes: nodes, cols: cols, rows: rows,
-		arrivals: sim.NewPipe[int32](0)}
+		arrivals: sim.NewPipe[int32](0), sinks: make([]sim.Waker, nodes)}
 	m.out = make([][numDirs]*link, nodes)
 	m.inject = make([]*sim.Queue[Message], nodes)
 	m.eject = make([]sim.Deque[Message], nodes)
@@ -225,6 +233,14 @@ func (m *Mesh) SetObs(s *obs.Sink) {
 		}
 	}
 	s.LinkLabels = labels
+}
+
+// SetWake connects the mesh to the engine's input edges: self wakes
+// the mesh when a message is injected, and sinks[n] wakes the consumer
+// of node n's deliveries.
+func (m *Mesh) SetWake(self sim.Waker, sinks []sim.Waker) {
+	m.wake = self
+	copy(m.sinks, sinks)
 }
 
 // Nodes returns the node count.
@@ -292,9 +308,12 @@ func (m *Mesh) TryInject(msg Message) bool {
 	if msg.Dests>>uint(m.nodes) != 0 {
 		panic(fmt.Sprintf("noc: destinations %#x outside %d-node mesh", msg.Dests, m.nodes))
 	}
-	if !m.inject[msg.Src].Push(msg) {
+	q := m.inject[msg.Src]
+	if q.Full() {
 		return false
 	}
+	m.wake.Wake()
+	q.Push(msg)
 	m.injectNodes |= DestMask(msg.Src)
 	m.MsgsSent++
 	return true
@@ -354,6 +373,7 @@ func (m *Mesh) route(n int, msg Message) bool {
 		cp.Dests = local
 		m.eject[n].Push(cp)
 		m.ejectN++
+		m.delivered |= DestMask(n)
 		branches++
 	}
 	if branches > 1 {
@@ -399,6 +419,10 @@ func (m *Mesh) Tick(now sim.Cycle) {
 			}
 		}
 	}
+	for d := m.delivered; d != 0; d &= d - 1 {
+		m.sinks[bits.TrailingZeros64(d)].Wake()
+	}
+	m.delivered = 0
 	// Phase B: link transmission, in allLinks order.
 	for w, word := range m.queued {
 		for ; word != 0; word &= word - 1 {

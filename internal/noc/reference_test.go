@@ -235,10 +235,10 @@ func refTrailingNode(mask uint64) int {
 // two-deep buffers so heads block — and compares every cycle: the
 // forecast, each node's ejections in order (whole messages with random
 // payload words and multicast flags, so every copy must arrive
-// intact), the stats, Idle, and the KindNoCHop event stream. Half the runs tick every cycle; the other
-// half tick only when the forecast says the mesh can act, as the
-// engine's SkipIdle does, and jump idle stretches as fast-forwarding
-// does.
+// intact), the stats, Idle, and the KindNoCHop event stream. Half the
+// runs tick every cycle; the other half tick only when the forecast
+// says the mesh can act and jump idle stretches, as the wake-driven
+// engine does.
 func TestMeshMatchesReference(t *testing.T) {
 	for _, nodes := range []int{6, 12, 18, 24} {
 		for depth := 1; depth <= 2; depth++ {

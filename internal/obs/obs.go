@@ -12,8 +12,8 @@
 // into per-task residency spans as they arrive (Spans, Timeline), so
 // the spans, like the metrics, survive the buffer limit. Observation is
 // strictly passive — emitting events never alters simulation behavior —
-// and the machine disables event-horizon fast-forwarding while a sink
-// is attached so per-cycle attribution is observed rather than
+// and the machine ticks every component every cycle while a sink is
+// attached so per-cycle attribution is observed rather than
 // synthesized, which the kernel's byte-identity contract (DESIGN.md
 // §11) guarantees changes no cycle count or statistic.
 package obs

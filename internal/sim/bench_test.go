@@ -2,15 +2,19 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineStep measures the kernel's per-cycle dispatch cost in
-// the two regimes the fast-forward work cares about: a machine of
-// mostly idle components (the case skipping optimizes away) and a
-// machine where every component acts every cycle.
+// BenchmarkEngineStep measures the wake-driven loop's per-cycle cost in
+// the two regimes it cares about: a machine of mostly sleeping
+// components (one visit in a thousand ticks) and a machine where every
+// component acts every cycle. Either way a Step allocates nothing.
 func BenchmarkEngineStep(b *testing.B) {
 	bench := func(b *testing.B, busyEvery Cycle) {
 		e := NewEngine()
+		e.FastForward = true
 		for i := 0; i < 16; i++ {
 			e.Register("pulser", &pulser{period: busyEvery, count: 1 << 62})
+		}
+		if a := testing.AllocsPerRun(100, e.Step); a != 0 {
+			b.Fatalf("Step allocates %v times per cycle", a)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

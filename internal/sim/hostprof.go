@@ -7,8 +7,9 @@ import (
 
 // Host profiling (DESIGN.md §18): a process-wide meter of engine runs —
 // how many ran, how many cycles each executed versus fast-forwarded,
-// and the wall time spent inside Run — so a harness can report where
-// simulated time was ticked and where it was skipped.
+// how many component ticks the executed cycles held, and the wall time
+// spent inside Run — so a harness can report where simulated time was
+// ticked and where it was skipped.
 //
 // The meter is always on and strictly feedback-free: it reads the host
 // clock around Run and copies the engine's own cycle meters, never
@@ -25,6 +26,10 @@ type HostProf struct {
 	// meters, summed over runs.
 	ExecutedCycles int64
 	SkippedCycles  int64
+	// Ticks counts component ticks, summed over runs: a machine of n
+	// components that ticked every one every cycle would show n per
+	// executed cycle.
+	Ticks int64
 	// TotalNS is wall time inside Engine.Run.
 	TotalNS int64
 }
@@ -34,13 +39,18 @@ func (p *HostProf) merge(o *HostProf) {
 	p.Runs += o.Runs
 	p.ExecutedCycles += o.ExecutedCycles
 	p.SkippedCycles += o.SkippedCycles
+	p.Ticks += o.Ticks
 	p.TotalNS += o.TotalNS
 }
 
 // Report renders the -hostprof stderr report.
 func (p *HostProf) Report() string {
-	return fmt.Sprintf("host profile: %d runs, wall %.2fms\n  cycles: %d executed, %d fast-forwarded\n",
-		p.Runs, float64(p.TotalNS)/1e6, p.ExecutedCycles, p.SkippedCycles)
+	perCycle := 0.0
+	if p.ExecutedCycles > 0 {
+		perCycle = float64(p.Ticks) / float64(p.ExecutedCycles)
+	}
+	return fmt.Sprintf("host profile: %d runs, wall %.2fms\n  cycles: %d executed, %d fast-forwarded\n  ticks: %d, %.2f per executed cycle\n",
+		p.Runs, float64(p.TotalNS)/1e6, p.ExecutedCycles, p.SkippedCycles, p.Ticks, perCycle)
 }
 
 // Process-wide aggregate, mutex-folded at run end, never on the cycle

@@ -86,6 +86,9 @@ func TestHostProfIdentity(t *testing.T) {
 		if ff != (snap.SkippedCycles > 0) {
 			t.Fatalf("ff=%v: skipped cycles = %d", ff, snap.SkippedCycles)
 		}
+		if all := int64(c) * int64(len(lanes)); !ff && snap.Ticks != all || ff && (snap.Ticks == 0 || snap.Ticks >= all) {
+			t.Fatalf("ff=%v: %d ticks over %d cycles of %d components", ff, snap.Ticks, c, len(lanes))
+		}
 		runs = append(runs, result{c, lanes, append([]string(nil), *log...)})
 	}
 	slow, ff := runs[0], runs[1]
@@ -128,11 +131,13 @@ func TestHostProfSerialEngine(t *testing.T) {
 }
 
 // TestHostProfReportShape checks the -hostprof rendering carries the
-// run count and the executed versus fast-forwarded split.
+// run count, the executed versus fast-forwarded split and the ticks
+// per executed cycle.
 func TestHostProfReportShape(t *testing.T) {
-	p := HostProf{Runs: 3, ExecutedCycles: 120, SkippedCycles: 45, TotalNS: 2_500_000}
+	p := HostProf{Runs: 3, ExecutedCycles: 120, SkippedCycles: 45, Ticks: 570, TotalNS: 2_500_000}
 	rep := p.Report()
-	for _, want := range []string{"host profile: 3 runs", "wall 2.50ms", "120 executed", "45 fast-forwarded"} {
+	for _, want := range []string{"host profile: 3 runs", "wall 2.50ms", "120 executed", "45 fast-forwarded",
+		"ticks: 570, 4.75 per executed cycle"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
@@ -142,9 +147,9 @@ func TestHostProfReportShape(t *testing.T) {
 // TestHostProfMerge checks aggregate folding across runs.
 func TestHostProfMerge(t *testing.T) {
 	var p HostProf
-	p.merge(&HostProf{Runs: 1, ExecutedCycles: 7, SkippedCycles: 3, TotalNS: 10})
-	p.merge(&HostProf{Runs: 1, ExecutedCycles: 5, SkippedCycles: 0, TotalNS: 20})
-	want := HostProf{Runs: 2, ExecutedCycles: 12, SkippedCycles: 3, TotalNS: 30}
+	p.merge(&HostProf{Runs: 1, ExecutedCycles: 7, SkippedCycles: 3, Ticks: 20, TotalNS: 10})
+	p.merge(&HostProf{Runs: 1, ExecutedCycles: 5, SkippedCycles: 0, Ticks: 9, TotalNS: 20})
+	want := HostProf{Runs: 2, ExecutedCycles: 12, SkippedCycles: 3, Ticks: 29, TotalNS: 30}
 	if p != want {
 		t.Fatalf("merge = %+v, want %+v", p, want)
 	}

@@ -86,8 +86,8 @@ func (p *Pipe[T]) Recv(now Cycle) (v T, ok bool) {
 }
 
 // NextAt returns the earliest delivery cycle among in-flight items, or
-// Never when the pipe is empty — the pipe's event-horizon contribution
-// for forecasting components.
+// Never when the pipe is empty — the pipe's contribution to its owner's
+// forecast.
 func (p *Pipe[T]) NextAt() Cycle {
 	if p.n == 0 {
 		return Never

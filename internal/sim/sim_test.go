@@ -354,61 +354,3 @@ func TestPipeMatchesStableSort(t *testing.T) {
 		t.Fatal("coverage: want both counts > 0")
 	}
 }
-
-// skipIdleProbe counts real ticks vs skips so the test can prove the
-// micro-skip substituted Skip for Tick on idle cycles.
-type skipIdleProbe struct {
-	next  Cycle
-	ticks int64
-	busy  int64
-}
-
-func (p *skipIdleProbe) Tick(now Cycle) {
-	p.ticks++
-	p.busy++
-	if now >= p.next {
-		p.next = now + 10
-	}
-}
-func (p *skipIdleProbe) Idle() bool { return p.next >= 40 }
-func (p *skipIdleProbe) NextEvent(now Cycle) Cycle {
-	if p.next < now {
-		return now
-	}
-	return p.next
-}
-func (p *skipIdleProbe) Skip(from, to Cycle) { p.busy += int64(to - from) }
-
-// nonForecaster keeps FF from engaging so SkipIdle is exercised on the
-// plain executed-cycle path.
-type nonForecaster struct{ n Cycle }
-
-func (x *nonForecaster) Tick(now Cycle) { x.n = now }
-func (x *nonForecaster) Idle() bool     { return true }
-
-// TestSkipIdleMicroSkip pins that with SkipIdle on, idle forecasting
-// components get their one-cycle Skip instead of Tick, and time-linear
-// accounting stays byte-identical.
-func TestSkipIdleMicroSkip(t *testing.T) {
-	run := func(skipIdle bool) *skipIdleProbe {
-		e := NewEngine()
-		e.SkipIdle = skipIdle
-		p := &skipIdleProbe{}
-		e.Register("probe", p)
-		e.Register("plain", &nonForecaster{})
-		e.MaxCycles = 40
-		_, err := e.Run(func() bool { return p.next >= 40 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	base := run(false)
-	fast := run(true)
-	if fast.busy != base.busy {
-		t.Fatalf("SkipIdle changed accounting: busy %d != %d", fast.busy, base.busy)
-	}
-	if fast.ticks >= base.ticks {
-		t.Fatalf("SkipIdle did not suppress idle ticks: %d >= %d", fast.ticks, base.ticks)
-	}
-}

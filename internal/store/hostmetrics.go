@@ -148,8 +148,9 @@ func (s *Server) logRequest(ri *reqInfo, method, route string, status int, bytes
 
 // instrumentHostProf exports the process-wide sim run meter as
 // gauges, so a /metrics scrape shows how many simulations ran, how
-// many of their cycles were executed versus fast-forwarded, and the
-// wall time spent inside them.
+// many of their cycles were executed versus fast-forwarded, how many
+// component ticks the executed cycles held, and the wall time spent
+// inside them.
 func (s *Server) instrumentHostProf() {
 	snap := func(f func(sim.HostProf) int64) func() int64 {
 		return func() int64 { return f(sim.HostProfSnapshot()) }
@@ -160,6 +161,8 @@ func (s *Server) instrumentHostProf() {
 		snap(func(p sim.HostProf) int64 { return p.ExecutedCycles }))
 	s.host.GaugeFunc("sim_hostprof_skipped_cycles", "Simulated cycles fast-forwarded.",
 		snap(func(p sim.HostProf) int64 { return p.SkippedCycles }))
+	s.host.GaugeFunc("sim_hostprof_ticks", "Component ticks in executed cycles.",
+		snap(func(p sim.HostProf) int64 { return p.Ticks }))
 	s.host.GaugeFunc("sim_hostprof_total_ns", "Wall nanoseconds inside engine runs.",
 		snap(func(p sim.HostProf) int64 { return p.TotalNS }))
 }

@@ -152,6 +152,10 @@ func TestServerHostProfMetrics(t *testing.T) {
 	if executed+skipped != rep.Cycles {
 		t.Fatalf("executed %d + skipped %d cycles != report's %d", executed, skipped, rep.Cycles)
 	}
+	// Every executed cycle ticks at least one component.
+	if ticks := promValue(t, scrape, "sim_hostprof_ticks"); ticks < executed {
+		t.Fatalf("sim_hostprof_ticks = %d, fewer than the %d executed cycles", ticks, executed)
+	}
 }
 
 // TestServerMetricsStableAndParseable pins the scrape surface itself:
