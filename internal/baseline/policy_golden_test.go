@@ -10,6 +10,7 @@ import (
 
 	"taskstream/internal/config"
 	"taskstream/internal/core"
+	"taskstream/internal/obs"
 	"taskstream/internal/workload"
 )
 
@@ -48,14 +49,16 @@ func readGolden(t *testing.T, name string) map[string][]byte {
 }
 
 // goldenVariants are the execution strategies that must all reproduce
-// the committed pre-refactor bytes: plain and fast-forward disabled
-// (the §11 contract says the strategy never changes the result).
+// the committed pre-refactor bytes: plain, where components sleep
+// between events, and with a one-event obs sink attached, which ticks
+// every component every cycle (the §11 contract says the strategy
+// never changes the result).
 var goldenVariants = []struct {
 	name string
 	mut  func(*core.Options)
 }{
 	{"base", nil},
-	{"noff", func(o *core.Options) { o.DisableFastForward = true }},
+	{"noff", func(o *core.Options) { o.Obs = obs.New(1) }},
 }
 
 func testPolicyGolden(t *testing.T, variant Variant, goldenFile string) {

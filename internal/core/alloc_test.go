@@ -69,10 +69,11 @@ func respAllocProgram(st *mem.Storage) *Program {
 //
 // The group's long coalescing window makes its lines leave DRAM once
 // the streams run at steady state, past the cycles in which queues
-// and rings grow to their working size. The window ends just before
-// the first multicast line lands at a lane, because a lane's landing
-// buffer allocates a map per group on its first line; a reference run
-// of the same deterministic program finds that cycle.
+// and rings grow to their working size. The measured window is centred
+// on the cycle the first multicast line lands at a lane, which a
+// reference run of the same deterministic program finds: a lane's
+// landing buffer is sized when the task joins the group, so landing
+// lines allocates nothing either.
 func TestMemResponsesAllocateNothing(t *testing.T) {
 	build := func() *Machine {
 		cfg := testConfig(8)
@@ -105,20 +106,22 @@ func TestMemResponsesAllocateNothing(t *testing.T) {
 
 	const window = 64
 	m := build()
-	for m.engine.Now() < land-2*window {
+	for m.engine.Now() < land-2*window+window/2 {
 		m.engine.Step()
 	}
 	// held counts responses newly held at a controller, by kind:
 	// unicast read data, write ack, multicast line.
 	var held [3]int
 	var mcastLines int
+	var sawLanding bool
 	wasHeld := make([]bool, len(m.memctrls))
 	steps := func() {
-		held, mcastLines = [3]int{}, 0
+		held, mcastLines, sawLanding = [3]int{}, 0, false
 		for i := 0; i < window; i++ {
 			inFlight := len(m.mcast.directory)
 			m.engine.Step()
 			mcastLines += inFlight - len(m.mcast.directory)
+			sawLanding = sawLanding || landed(m)
 			for c, mc := range m.memctrls {
 				if mc.hasHeld && !wasHeld[c] {
 					switch {
@@ -134,11 +137,11 @@ func TestMemResponsesAllocateNothing(t *testing.T) {
 			}
 		}
 	}
-	// One warm-up window, then the measured one, which ends at land.
+	// One warm-up window, then the measured one, which spans land.
 	allocs := testing.AllocsPerRun(1, steps)
-	if mcastLines == 0 || held[0] == 0 || held[1] == 0 {
-		t.Fatalf("window lacks coverage: %d multicast lines left DRAM, held read/ack/mcast = %v",
-			mcastLines, held)
+	if mcastLines == 0 || held[0] == 0 || held[1] == 0 || !sawLanding {
+		t.Fatalf("window lacks coverage: %d multicast lines left DRAM, held read/ack/mcast = %v, "+
+			"multicast data reached a port %v", mcastLines, held, sawLanding)
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocations over a %d-cycle window of memory responses, want 0 "+

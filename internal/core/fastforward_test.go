@@ -25,11 +25,21 @@ type runSnapshot struct {
 	skipped   int64 // fast-forwarded cycles; not compared
 }
 
-// snapshotRandom runs a freshly generated program and captures its
-// runSnapshot. With checked set it first steps the machine to its end
-// one cycle at a time, calling the engine's missed-wake check after
-// every cycle; Run then only settles and reports.
-func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options, checked bool) runSnapshot {
+// runMode is the execution strategy snapshotRandom runs a machine
+// under.
+type runMode int
+
+const (
+	everyCycle runMode = iota // every component ticks every cycle
+	sleeping                  // components sleep between events
+	checked                   // sleeping, with the missed-wake check after every cycle
+)
+
+// snapshotRandom runs a freshly generated program under mode and
+// captures its runSnapshot. A checked run first steps the machine to
+// its end one cycle at a time, calling the engine's missed-wake check
+// after every cycle; Run then only settles and reports.
+func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options, mode runMode) runSnapshot {
 	t.Helper()
 	prog, st, outs := randomProgram(seed)
 	sink := obs.New(0)
@@ -38,13 +48,13 @@ func snapshotRandom(t *testing.T, seed uint64, cfg config.Config, opts Options, 
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	// A sink makes every component tick every cycle; turn sleeping
-	// back on as the options ask, so the lifecycle stream is observed
-	// under the execution strategy being compared. Only the lifecycle
-	// kinds are compared: per-cycle lane-state spans are what the sink
-	// normally forces every-cycle execution for.
-	m.engine.FastForward = !opts.DisableFastForward
-	if checked {
+	// A sink makes every component tick every cycle; set the engine's
+	// mode after it, so the lifecycle stream is observed under the
+	// execution strategy being compared. Only the lifecycle kinds are
+	// compared: per-cycle lane-state spans are what the sink normally
+	// forces every-cycle execution for.
+	m.engine.FastForward = mode != everyCycle
+	if mode == checked {
 		if err := stepChecked(m); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -158,10 +168,8 @@ func TestFastForwardByteIdentical(t *testing.T) {
 	var skipped int64
 	for _, v := range wakeVariants {
 		for seed := uint64(1); seed <= 8; seed++ {
-			ffOpts, slowOpts := v.opts, v.opts
-			slowOpts.DisableFastForward = true
-			ff := snapshotRandom(t, seed, v.cfg(), ffOpts, false)
-			slow := snapshotRandom(t, seed, v.cfg(), slowOpts, false)
+			ff := snapshotRandom(t, seed, v.cfg(), v.opts, sleeping)
+			slow := snapshotRandom(t, seed, v.cfg(), v.opts, everyCycle)
 			diffSnapshots(t, fmt.Sprintf("%s seed %d", v.name, seed), ff, slow)
 			skipped += ff.skipped
 		}
@@ -177,9 +185,7 @@ func TestFastForwardByteIdentical(t *testing.T) {
 // checked runs must also match every-cycle ones.
 func TestWakeEdgesComplete(t *testing.T) {
 	run := func(label string, seed uint64, cfg config.Config, opts Options) {
-		slowOpts := opts
-		slowOpts.DisableFastForward = true
-		diffSnapshots(t, label, snapshotRandom(t, seed, cfg, opts, true), snapshotRandom(t, seed, cfg, slowOpts, false))
+		diffSnapshots(t, label, snapshotRandom(t, seed, cfg, opts, checked), snapshotRandom(t, seed, cfg, opts, everyCycle))
 	}
 	for _, v := range wakeVariants {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -228,8 +234,8 @@ func TestCheckWakesCatchesDroppedEdge(t *testing.T) {
 func TestFastForwardByteIdenticalUnderStress(t *testing.T) {
 	stress := stressConfig()
 	for seed := uint64(30); seed <= 38; seed++ {
-		ff := snapshotRandom(t, seed, stress, Options{}, false)
-		slow := snapshotRandom(t, seed, stress, Options{DisableFastForward: true}, false)
+		ff := snapshotRandom(t, seed, stress, Options{}, sleeping)
+		slow := snapshotRandom(t, seed, stress, Options{}, everyCycle)
 		diffSnapshots(t, fmt.Sprintf("stress seed %d", seed), ff, slow)
 	}
 }
@@ -271,7 +277,15 @@ func TestGoldenCyclesFastForwardOff(t *testing.T) {
 	}
 	prog := &Program{Name: "golden", Types: []*TaskType{addKType()},
 		NumPhases: 1, Tasks: tasks}
-	rep := buildAndRun(t, testConfig(2), prog, st, Options{DisableFastForward: true})
+	m, err := NewMachine(testConfig(2), prog, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.engine.FastForward = false
+	rep, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Cycles != 630 {
 		t.Errorf("slow-path golden drifted: %d cycles, want 630", rep.Cycles)
 	}

@@ -44,15 +44,11 @@ func (o Options) Normalized() Options {
 // CacheKey returns a stable canonical encoding of the normalized
 // options, field by field in a fixed order — the options half of a run
 // spec's content address. The policy is keyed by name, so renumbering
-// the enum never aliases a stored result. DisableFastForward
-// participates even though fast-forward is byte-identical by contract
-// (DESIGN.md §11): keying on it keeps the cache trivially sound if
-// that contract ever breaks, at the cost of never deduping across the
-// two modes (no experiment mixes them).
+// the enum never aliases a stored result.
 func (o Options) CacheKey() string {
 	n := o.Normalized()
-	return fmt.Sprintf("Policy=%s;Hints=%d;MaxCycles=%d;Vet=%t;DisableFastForward=%t;",
-		n.Policy, n.Hints, n.MaxCycles, n.Vet, n.DisableFastForward)
+	return fmt.Sprintf("Policy=%s;Hints=%d;MaxCycles=%d;Vet=%t;",
+		n.Policy, n.Hints, n.MaxCycles, n.Vet)
 }
 
 // Clone returns a deep copy of the report: mutating the copy's

@@ -39,10 +39,9 @@ func TestOptionsCacheKeyNormalization(t *testing.T) {
 
 	// Every result-determining field must reach the key.
 	for name, mut := range map[string]func(*Options){
-		"Policy":             func(o *Options) { o.Policy = PolicyStatic },
-		"Hints":              func(o *Options) { o.Hints = HintNoisy },
-		"Vet":                func(o *Options) { o.Vet = false },
-		"DisableFastForward": func(o *Options) { o.DisableFastForward = true },
+		"Policy": func(o *Options) { o.Policy = PolicyStatic },
+		"Hints":  func(o *Options) { o.Hints = HintNoisy },
+		"Vet":    func(o *Options) { o.Vet = false },
 	} {
 		o := base
 		mut(&o)

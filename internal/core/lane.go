@@ -110,11 +110,17 @@ func (l *Lane) QueueSpace() int { return l.queue.Cap() - l.queue.Len() }
 // enqueue accepts a dispatched task; the coordinator has verified
 // space. The wake comes first: Skip counts busy cycles from the queue's
 // emptiness, so the cycles the lane slept through settle before the
-// push.
+// push. Each multicast port joins its group's landing buffer now,
+// while the group is still open and none of its lines has issued.
 func (l *Lane) enqueue(r *resolved) {
 	l.wake.Wake()
 	if !l.queue.Push(r) {
 		panic("core: lane queue overflow (coordinator must check QueueSpace)")
+	}
+	for _, s := range r.inSet {
+		if s.Kind == stream.SrcMulticast {
+			l.eng.JoinMcast(s.Group, s.Lines)
+		}
 	}
 }
 

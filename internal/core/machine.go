@@ -35,11 +35,6 @@ type Options struct {
 	// RegisterVetter; internal/analysis provides it) before the machine
 	// is wired. NewMachine fails if the program does not vet clean.
 	Vet bool
-	// DisableFastForward ticks every component every cycle.
-	// Fast-forward, where components sleep between events, is on by
-	// default and byte-identical to it (DESIGN.md §11); this switch
-	// exists for the equality tests and for debugging.
-	DisableFastForward bool
 }
 
 // Machine is one fully wired accelerator instance executing one
@@ -142,7 +137,7 @@ func NewMachine(cfg config.Config, prog *Program, storage *mem.Storage, opts Opt
 	// lane-state spans are classified every cycle, so observed runs
 	// tick every component every cycle, byte-identically by the
 	// Forecaster contract.
-	m.engine.FastForward = !opts.DisableFastForward && opts.Obs == nil
+	m.engine.FastForward = opts.Obs == nil
 	if opts.MaxCycles > 0 {
 		m.engine.MaxCycles = opts.MaxCycles
 	}
@@ -308,7 +303,7 @@ func (m *Machine) report(cycles int64) Report {
 	for _, ch := range m.channels {
 		rd += ch.ReadLines
 		wr += ch.WriteLines
-		busyCh += ch.BusyCycles
+		busyCh += ch.BusyCycles()
 	}
 	s.SetVal("dram_lines_read", rd)
 	s.SetVal("dram_lines_written", wr)

@@ -41,7 +41,6 @@ type Channel struct {
 	// Stats, readable by the owner.
 	ReadLines  int64
 	WriteLines int64
-	BusyCycles int64
 
 	// obs, when non-nil, receives a service-occupancy event per line;
 	// obsID is the channel index those events carry.
@@ -95,16 +94,11 @@ func (ch *Channel) Submit(r Request) bool {
 // Tick advances the channel one cycle, starting service on the next
 // queued request when the data bus frees up.
 func (ch *Channel) Tick(now sim.Cycle) {
-	if now < ch.nextIssue {
-		ch.BusyCycles++
-		return
-	}
-	if ch.queue.Empty() {
+	if now < ch.nextIssue || ch.queue.Empty() {
 		return
 	}
 	ch.drain.Wake()
 	r, _ := ch.queue.Pop()
-	ch.BusyCycles++
 	ch.nextIssue = now + ch.servicePer
 	done := now + sim.Cycle(ch.cfg.LatencyCycles) + ch.servicePer
 	ch.resp.SendAt(done, Response{ID: r.ID, Line: r.Line, Write: r.Write})
@@ -131,11 +125,18 @@ func (ch *Channel) PopResponse(now sim.Cycle) (Response, bool) {
 // Idle reports whether the channel has no queued or in-flight work.
 func (ch *Channel) Idle() bool { return ch.queue.Empty() && ch.resp.Empty() }
 
+// BusyCycles returns the cycles the data bus has spent serializing
+// lines. Each service holds the bus for exactly servicePer cycles and
+// its response matures only after them, so once every response has
+// been delivered this is the number of lines served times servicePer.
+func (ch *Channel) BusyCycles() int64 {
+	return (ch.ReadLines + ch.WriteLines) * int64(ch.servicePer)
+}
+
 // NextEvent reports when the channel's own Tick can next act: with
 // requests queued, the next service start (bounded below by the data
 // bus freeing at nextIssue); with an empty queue, never — response
-// maturity is the owner's event (see RespNextAt), and the bus-busy tail
-// is pure time-linear accounting replayed by Skip.
+// maturity is the owner's event (see RespNextAt).
 func (ch *Channel) NextEvent(now sim.Cycle) sim.Cycle {
 	if ch.queue.Empty() {
 		return sim.Never
@@ -144,20 +145,6 @@ func (ch *Channel) NextEvent(now sim.Cycle) sim.Cycle {
 		return ch.nextIssue
 	}
 	return now
-}
-
-// Skip replays the per-cycle busy accounting for skipped cycles
-// [from, to): every cycle with the data bus still serializing a line
-// (now < nextIssue) counts as busy, exactly as Tick would have counted
-// it.
-func (ch *Channel) Skip(from, to sim.Cycle) {
-	if ch.nextIssue > from {
-		end := ch.nextIssue
-		if end > to {
-			end = to
-		}
-		ch.BusyCycles += int64(end - from)
-	}
 }
 
 // RespNextAt returns the maturity cycle of the earliest in-flight

@@ -12,11 +12,12 @@ import (
 )
 
 // TestTracedSuiteExport runs every suite workload observed under delta
-// on the default config, with the CLIs' default 250k-event buffer, and
-// pins the acceptance criterion: the export is byte for byte the
+// on the default config, with delta-sim's default 250k-event buffer,
+// and pins the acceptance criterion: the export is byte for byte the
 // reference encoder's, valid trace-event JSON whose every event carries
 // ph/ts/pid/tid, with lane, stream-engine, NoC, and DRAM tracks all
-// populated.
+// populated. Every lane's cycles must also split exactly over the lane
+// causes: what stall attribution reports is the whole run.
 func TestTracedSuiteExport(t *testing.T) {
 	for _, nb := range workload.Suite() {
 		name := nb.Name
@@ -34,6 +35,16 @@ func TestTracedSuiteExport(t *testing.T) {
 			}
 			if rep.Cycles <= 0 || sink.Len() == 0 {
 				t.Fatalf("cycles=%d events=%d", rep.Cycles, sink.Len())
+			}
+			m := sink.Metrics()
+			for lane := 0; lane < cfg.Lanes; lane++ {
+				var sum int64
+				for c := obs.Cause(0); c < obs.NumCauses; c++ {
+					sum += m.LaneCause(lane, c)
+				}
+				if sum != rep.Cycles {
+					t.Errorf("lane %d: causes sum to %d cycles, run took %d", lane, sum, rep.Cycles)
+				}
 			}
 
 			var buf, ref bytes.Buffer
@@ -59,7 +70,6 @@ func TestTracedSuiteExport(t *testing.T) {
 			// (export.go). A workload whose every read multicasts
 			// (gemm) issues no stream-engine spans.
 			want := map[float64]string{2: "lane", 4: "noc", 5: "dram"}
-			m := sink.Metrics()
 			if m.SpansIssued > 0 {
 				want[3] = "stream-engine"
 			}

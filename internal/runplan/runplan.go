@@ -55,10 +55,11 @@ func ForVariant(nb workload.NamedBuilder, v baseline.Variant, cfg config.Config)
 // by a build of an earlier model misses instead of serving results
 // this model no longer produces; store.DiskStore also names its entry
 // files with it, so it can delete another model's entries on open.
-// Bump it whenever a simulated result changes: any line of
-// bench_results.txt or of a policy golden.
-// TestModelRevisionTripwire fails until the bump is made.
-const ModelRevision = "r1"
+// Bump it when a simulated result or the key encoding changes. A
+// result is any line of bench_results.txt or of a policy golden, and
+// TestModelRevisionTripwire fails until such a bump is made; no test
+// catches a change to Spec.Key's encoding.
+const ModelRevision = "r2"
 
 // Key returns the spec's content address: the model revision, the
 // workload name, and the canonical encodings of config and normalized

@@ -29,11 +29,10 @@ type WireSpec struct {
 // readable and unknown policies fail with a client-attributable error;
 // an empty name means dynamic.
 type WireOptions struct {
-	Policy             string `json:"policy,omitempty"`
-	Hints              uint8  `json:"hints"`
-	MaxCycles          int64  `json:"max_cycles,omitempty"`
-	Vet                bool   `json:"vet,omitempty"`
-	DisableFastForward bool   `json:"disable_fast_forward,omitempty"`
+	Policy    string `json:"policy,omitempty"`
+	Hints     uint8  `json:"hints"`
+	MaxCycles int64  `json:"max_cycles,omitempty"`
+	Vet       bool   `json:"vet,omitempty"`
 }
 
 // Wire converts the spec to its serialized form. Uncacheable specs
@@ -48,11 +47,10 @@ func (s Spec) Wire() (WireSpec, error) {
 		Workload: s.Workload.Name,
 		Config:   s.Config,
 		Opts: WireOptions{
-			Policy:             n.Policy.String(),
-			Hints:              uint8(n.Hints),
-			MaxCycles:          int64(n.MaxCycles),
-			Vet:                n.Vet,
-			DisableFastForward: n.DisableFastForward,
+			Policy:    n.Policy.String(),
+			Hints:     uint8(n.Hints),
+			MaxCycles: int64(n.MaxCycles),
+			Vet:       n.Vet,
 		},
 	}, nil
 }
@@ -77,11 +75,10 @@ func (w WireSpec) Spec() (Spec, error) {
 		return Spec{}, err
 	}
 	opts := core.Options{
-		Policy:             policy,
-		Hints:              core.HintMode(w.Opts.Hints),
-		MaxCycles:          sim.Cycle(w.Opts.MaxCycles),
-		Vet:                w.Opts.Vet,
-		DisableFastForward: w.Opts.DisableFastForward,
+		Policy:    policy,
+		Hints:     core.HintMode(w.Opts.Hints),
+		MaxCycles: sim.Cycle(w.Opts.MaxCycles),
+		Vet:       w.Opts.Vet,
 	}
 	if err := opts.Validate(); err != nil {
 		return Spec{}, err

@@ -100,11 +100,15 @@ func (s *Server) resolve(ws runplan.WireSpec) RunResponse {
 const maxRequestBytes = 64 << 10
 
 // decodeRequest decodes r's JSON body into v, reading at most
-// maxRequestBytes. On failure it answers the request itself — 413 for
-// an oversized body, 400 for a malformed one, both with a RunResponse
+// maxRequestBytes. A field v does not have is an error, so a misspelt
+// or retired option fails instead of silently running with its
+// default. On failure it answers the request itself — 413 for an
+// oversized body, 400 for a malformed one, both with a RunResponse
 // error — and returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}

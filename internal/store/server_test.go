@@ -94,24 +94,41 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 
 	// Raw HTTP status checks: an unresolvable workload, an unknown
-	// policy name, an unknown hint mode and a config past its bounds
-	// are the client's fault. The huge DRAM queue is a ~1 KB request
-	// that sim.NewQueue would size eagerly at 24 GiB, killing the
-	// daemon with a fatal out-of-memory no recover can catch, so
-	// config.Validate must refuse it before anything is built.
+	// policy name, an unknown hint mode, a config past its bounds and
+	// an option field the spec does not have are the client's fault.
+	// The huge DRAM queue is a ~1 KB request that sim.NewQueue would
+	// size eagerly at 24 GiB, killing the daemon with a fatal
+	// out-of-memory no recover can catch, so config.Validate must
+	// refuse it before anything is built. A retired option, or a
+	// misspelt max_cycles that would otherwise run under the default
+	// 2e9-cycle budget, must not be silently ignored.
 	badPolicy := wireSpec(t, histSpec())
 	badPolicy.Opts.Policy = "fifo"
 	badHints := wireSpec(t, histSpec())
 	badHints.Opts.Hints = 200
 	hugeQueue := wireSpec(t, histSpec())
 	hugeQueue.Config.DRAM.QueueDepth = 1 << 30
+	bodies := map[string][]byte{}
 	for name, spec := range map[string]runplan.WireSpec{
 		"unresolvable workload": {Workload: "nope"},
 		"unknown policy":        badPolicy,
 		"unknown hint mode":     badHints,
 		"huge DRAM queue":       hugeQueue,
 	} {
-		body, _ := json.Marshal(RunRequest{Spec: spec})
+		bodies[name], _ = json.Marshal(RunRequest{Spec: spec})
+	}
+	valid, _ := json.Marshal(RunRequest{Spec: wireSpec(t, histSpec())})
+	for name, field := range map[string]string{
+		"retired disable_fast_forward": `"disable_fast_forward":true,`,
+		"misspelt max_cycles":          `"max_cycle":1000,`,
+	} {
+		body := bytes.Replace(valid, []byte(`"opts":{`), []byte(`"opts":{`+field), 1)
+		if bytes.Equal(body, valid) {
+			t.Fatalf("%s: no opts object in %s", name, valid)
+		}
+		bodies[name] = body
+	}
+	for name, body := range bodies {
 		resp, err := http.Post(c.base+"/v1/run", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -37,11 +37,12 @@ type Engine struct {
 	laneNodes []int
 	memNodes  []int
 
-	// mcBuf buffers multicast line arrivals for groups whose consuming
-	// task has not yet programmed its port (the lane-level multicast
-	// fill buffer). Entries persist for the machine's lifetime; see
-	// DESIGN.md on memory accounting simplifications.
-	mcBuf map[uint64]map[int]bool
+	// mcast holds the landing buffer of every multicast group a task
+	// queued on this lane has joined, by group id. JoinMcast sizes it
+	// at dispatch, before any of the group's lines issue, and it is
+	// dropped once every line has landed and every registered port has
+	// been set up over it.
+	mcast map[uint64]*mcGroup
 
 	// Response routing: memory-path read contexts are addressed by a
 	// small rotating id so that current and prefetched contexts can
@@ -83,7 +84,7 @@ func NewEngine(lane int, cfg config.Config, topo proto.Topology, inj Injector, s
 		spad:      spad,
 		maxOut:    32,
 		reqBudget: 4,
-		mcBuf:     make(map[uint64]map[int]bool),
+		mcast:     make(map[uint64]*mcGroup),
 		ctxByID:   make(map[int]*readCtx),
 	}
 	e.selfNode = topo.LaneNode(lane)
@@ -142,10 +143,17 @@ type readCtx struct {
 	spadPrefix  int
 
 	// SrcMulticast.
-	group    uint64
-	mcArr    []bool
-	mcCount  int
+	mc       *mcGroup
 	headSkip int
+}
+
+// mcGroup is one multicast group's landing buffer at one lane, shared
+// by every port that reads the group there.
+type mcGroup struct {
+	id      uint64
+	landed  []bool // by line sequence number
+	count   int    // distinct lines landed
+	readers int    // registered ports not yet set up
 }
 
 // writeCtx tracks one output port's stream progress.
@@ -191,17 +199,15 @@ func (e *Engine) newReadCtx(s ReadSetup) *readCtx {
 		ctx.spadArrived = make([]bool, s.N)
 	case SrcForward:
 	case SrcMulticast:
-		ctx.group = s.Group
-		ctx.mcArr = make([]bool, s.Lines)
-		ctx.headSkip = s.HeadSkip
-		// Replay lines that arrived before the port was programmed.
-		for seq := range e.mcBuf[s.Group] {
-			if seq < len(ctx.mcArr) && !ctx.mcArr[seq] {
-				ctx.mcArr[seq] = true
-				ctx.mcCount++
-			}
+		g := e.mcast[s.Group]
+		if g == nil {
+			panic("stream: multicast port for a group the lane never joined")
 		}
+		g.readers--
+		ctx.mc = g
+		ctx.headSkip = s.HeadSkip
 		e.advanceMcast(ctx)
+		e.releaseMcast(g)
 	default:
 		panic(fmt.Sprintf("stream: unknown SrcKind %d", s.Kind))
 	}
@@ -215,6 +221,30 @@ func (e *Engine) newReadCtx(s ReadSetup) *readCtx {
 		e.retireIfDone(ctx) // empty streams route no responses
 	}
 	return ctx
+}
+
+// JoinMcast registers one port of a queued task as a reader of
+// multicast group id, which fetches lines lines, sizing the group's
+// landing buffer on its first reader. A port must be registered before
+// its group's lines can land: the lane registers each multicast setup
+// when its task is dispatched, while the group still collects members
+// and before any line issues.
+func (e *Engine) JoinMcast(id uint64, lines int) {
+	g := e.mcast[id]
+	if g == nil {
+		g = &mcGroup{id: id, landed: make([]bool, lines)}
+		e.mcast[id] = g
+	}
+	g.readers++
+}
+
+// releaseMcast drops g's landing buffer once it is complete and every
+// registered reader holds it: no line can land and no port be set up
+// over it any more.
+func (e *Engine) releaseMcast(g *mcGroup) {
+	if g.readers == 0 && g.count == len(g.landed) {
+		delete(e.mcast, g.id)
+	}
 }
 
 // retireIfDone removes a fully arrived context from response routing.
@@ -590,23 +620,21 @@ func (e *Engine) sendLineReq(line mem.Addr, write bool, port int, seq int64) boo
 func (e *Engine) OnMessage(msg noc.Message) {
 	switch {
 	case msg.Kind == noc.KindMemResp && msg.Mcast:
-		group, seq := msg.A, int(msg.B)
-		buf := e.mcBuf[group]
-		if buf == nil {
-			buf = make(map[int]bool)
-			e.mcBuf[group] = buf
+		g := e.mcast[msg.A]
+		if g == nil {
+			panic("stream: multicast line for a group the lane never joined")
 		}
-		buf[seq] = true
+		if g.landed[msg.B] {
+			return // a duplicate delivery counts once
+		}
+		g.landed[msg.B] = true
+		g.count++
 		for _, c := range e.reads {
-			if c.kind != SrcMulticast || c.group != group {
-				continue
-			}
-			if seq < len(c.mcArr) && !c.mcArr[seq] {
-				c.mcArr[seq] = true
-				c.mcCount++
+			if c.mc == g {
 				e.advanceMcast(c)
 			}
 		}
+		e.releaseMcast(g)
 	case msg.Kind == noc.KindMemResp:
 		lane, write, route, seq := proto.SplitReqID(msg.A)
 		if lane != e.lane {
@@ -660,14 +688,14 @@ func (e *Engine) OnMessage(msg noc.Message) {
 }
 
 // advanceMcast recomputes a multicast context's availability from its
-// arrived-line count. Multicast fills land in the lane's per-group
-// landing buffer (mcBuf), which the port drains in stream order with
-// full-buffer visibility — so availability tracks the count of arrived
+// group's landed-line count. Multicast fills land in the lane's
+// per-group landing buffer, which the port drains in stream order with
+// full-buffer visibility — so availability tracks the count of landed
 // lines rather than the in-order prefix (lines from different channels
 // and multicast tree branches legitimately arrive out of order).
 func (e *Engine) advanceMcast(c *readCtx) {
 	elemsPerLine := e.cfg.DRAM.LineBytes / mem.ElemBytes
-	av := c.mcCount*elemsPerLine - c.headSkip
+	av := c.mc.count*elemsPerLine - c.headSkip
 	if av < 0 {
 		av = 0
 	}

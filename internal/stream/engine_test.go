@@ -333,6 +333,7 @@ func TestMulticastArrival(t *testing.T) {
 	e := newTestEngine(lb, 0)
 	// Group fetch of 3 lines; this port's data starts 2 elements into
 	// the first line and runs 20 elements.
+	e.JoinMcast(7, 3)
 	e.SetupRead(0, ReadSetup{Kind: SrcMulticast, N: 20, Group: 7, Lines: 3, HeadSkip: 2})
 	deliver := func(seq int) {
 		e.OnMessage(noc.Message{Kind: noc.KindMemResp, Mcast: true, A: 7, B: uint64(seq)})
@@ -358,6 +359,40 @@ func TestMulticastArrival(t *testing.T) {
 	e.Consume(0, 20)
 	if !e.Done() {
 		t.Fatal("should be done")
+	}
+}
+
+// TestMulticastLandingAllocatesNothing lands every line of a group on
+// an engine that has already landed one: the landing buffer is sized
+// when the port joins its group, so landing a line, updating the port
+// reading it and dropping the completed buffer allocate nothing.
+func TestMulticastLandingAllocatesNothing(t *testing.T) {
+	lb := newLoopback(1, proto.Topology{Lanes: 1, Channels: 1})
+	e := newTestEngine(lb, 0)
+	const lines = 64
+	elems := lines * testCfg().DRAM.LineBytes / mem.ElemBytes
+	// Port p reads group p+1; AllocsPerRun lands group 1 to warm up,
+	// then measures group 2.
+	for p := 0; p < 2; p++ {
+		g := uint64(p + 1)
+		e.JoinMcast(g, lines)
+		e.SetupRead(p, ReadSetup{Kind: SrcMulticast, N: elems, Group: g, Lines: lines})
+	}
+	next := uint64(1)
+	allocs := testing.AllocsPerRun(1, func() {
+		for seq := uint64(0); seq < lines; seq++ {
+			e.OnMessage(noc.Message{Kind: noc.KindMemResp, Mcast: true, A: next, B: seq})
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("landing a %d-line group allocated %v times, want 0", lines, allocs)
+	}
+	if e.Avail(0) != elems || e.Avail(1) != elems {
+		t.Fatalf("avail = %d, %d after every line landed, want %d", e.Avail(0), e.Avail(1), elems)
+	}
+	if len(e.mcast) != 0 {
+		t.Fatalf("%d landing buffers left after both groups completed", len(e.mcast))
 	}
 }
 
