@@ -14,13 +14,13 @@ import (
 	"taskstream/internal/workload"
 )
 
-// The scheduler refactor (DESIGN.md §17) moved the dynamic and static
-// dispatch policies behind the core.Scheduler interface. These tests
-// pin that the move changed nothing observable: the committed testdata
-// files hold the canonical report encoding of every suite workload
-// captured from the pre-refactor coordinator, and the refactored
-// schedulers must reproduce them byte for byte — with fast-forwarding
-// on or off.
+// The committed testdata files hold the canonical report encoding of
+// every suite workload under the dynamic and static policies, captured
+// before dispatch was first restructured (DESIGN.md §17). Dispatch has
+// since moved behind a plugin interface and back into the coordinator;
+// these tests pin that neither move changed anything observable: the
+// coordinator must reproduce the files byte for byte, whether its
+// components sleep between events or are ticked every cycle.
 
 // readGolden parses testdata/<name>: one "<workload> <report-json>"
 // line per suite workload.
@@ -96,8 +96,8 @@ func testPolicyGolden(t *testing.T, variant Variant, goldenFile string) {
 	}
 }
 
-// TestDefaultPolicyGoldenSuite: the refactored dynamic scheduler is
-// byte-identical to the pre-refactor coordinator on the full suite.
+// TestDefaultPolicyGoldenSuite: the dynamic policy is byte-identical
+// to the pre-refactor coordinator on the full suite.
 func TestDefaultPolicyGoldenSuite(t *testing.T) {
 	testPolicyGolden(t, Delta, "default_policy_golden.txt")
 }
@@ -108,7 +108,7 @@ func TestStaticPolicyGoldenSuite(t *testing.T) {
 }
 
 // TestNewPolicySuiteIdentity extends the §11 fast-forwarding contract
-// to the pipeline scheduler: its runs must also be byte-identical with
+// to the pipeline policy: its runs must also be byte-identical with
 // fast-forwarding off, and must still verify.
 func TestNewPolicySuiteIdentity(t *testing.T) {
 	for _, policy := range []core.Policy{core.PolicyPipeline} {

@@ -25,15 +25,20 @@ const (
 // ctlLatency models the coordinator's control-network round trip.
 const ctlLatency sim.Cycle = 4
 
-// coordinator is the TaskStream hardware shared by every dispatch
-// policy: global task queues, phase tracking, the per-lane
-// outstanding-work load model, forward-group formation, and control
-// pipes. The policy itself — which task goes to which lane — is the
-// pluggable Scheduler (scheduler.go, DESIGN.md §17).
+// coordinator is the TaskStream hardware: global task queues, phase
+// tracking, the per-lane outstanding-work load model, forward-group
+// formation, control pipes, and the dispatch decision itself — which
+// task goes to which lane under the run's policy (scheduler.go,
+// DESIGN.md §17).
 type coordinator struct {
-	m     *Machine
-	sched Scheduler
-	state SchedState
+	m *Machine
+
+	// policy is the dispatch discipline; rr is the round-robin cursor,
+	// and assigned the static partition, parallel to the current
+	// phase's pending queue and nil until its first dispatch attempt.
+	policy   Policy
+	rr       int
+	assigned []int
 
 	// pending[phase] is the FIFO of undispatched tasks per phase;
 	// activeCount[phase] counts dispatched-but-incomplete tasks.
@@ -63,13 +68,9 @@ type coordinator struct {
 }
 
 func newCoordinator(m *Machine, policy Policy) *coordinator {
-	sched, err := newScheduler(policy)
-	if err != nil {
-		panic(err) // NewMachine validates the policy first
-	}
 	c := &coordinator{
 		m:              m,
-		sched:          sched,
+		policy:         policy,
 		pending:        make([][]Task, m.prog.NumPhases),
 		activeCount:    make([]int, m.prog.NumPhases),
 		laneWork:       make([]int64, m.cfg.Lanes),
@@ -77,7 +78,6 @@ func newCoordinator(m *Machine, policy Policy) *coordinator {
 		completions:    sim.NewPipe[completeEvt](ctlLatency),
 		spawnsPipe:     sim.NewPipe[Task](ctlLatency),
 	}
-	c.state = SchedState{c: c}
 	for _, t := range m.prog.Tasks {
 		c.accept(t)
 	}
@@ -204,37 +204,27 @@ func (c *coordinator) Tick(now sim.Cycle) {
 		len(c.pending[c.phase]) == 0 && c.activeCount[c.phase] == 0 &&
 		c.spawnInFlight == 0 {
 		c.phase++
-		c.sched.PhaseStart(&c.state, c.phase)
+		c.assigned = nil
 	}
 
 	c.m.mcast.tick(now, 8, c.m.submitMcast)
 
 	budget := c.m.cfg.Task.DispatchPerCycle
 	for budget > 0 {
-		if !c.dispatchOne(now) {
+		if !c.dispatchOne() {
 			break
 		}
 		budget--
 	}
 }
 
-// dispatchOne dispatches the next eligible task through the scheduler,
-// reporting success.
-func (c *coordinator) dispatchOne(now sim.Cycle) bool {
-	if len(c.pending[c.phase]) == 0 {
-		return false
-	}
-	return c.sched.Dispatch(&c.state, now)
-}
-
 // tryForwardGroup attempts to co-dispatch the forward group seeded by
 // the producer at the head of the current phase queue: the consumer
 // of its tag, and any other pending producers that consumer requires.
-// choose supplies the policy's lane selection: given the group
-// members' effective work hints (producers in order, consumer last)
-// it returns that many distinct lanes with queue space, aligned to the
-// weights, or nil to refuse. Reports whether the group dispatched.
-func (c *coordinator) tryForwardGroup(choose func(weights []int64) []int) bool {
+// groupLanes places the members by their effective work hints.
+// Reports whether the group dispatched; a head that produces no tag
+// forms no group.
+func (c *coordinator) tryForwardGroup() bool {
 	t := c.pending[c.phase][0]
 	tag := t.ProducesTag()
 	if tag == 0 {
@@ -277,7 +267,7 @@ func (c *coordinator) tryForwardGroup(choose func(weights []int64) []int) bool {
 		weights[i] = c.m.effectiveHint(&p)
 	}
 	weights[len(producers)] = c.m.effectiveHint(&consumer)
-	lanes := choose(weights)
+	lanes := c.groupLanes(weights)
 	if lanes == nil {
 		return false
 	}

@@ -22,21 +22,10 @@ func newIdleMachine(t *testing.T, lanes int) *Machine {
 	return m
 }
 
-// dynSched returns the machine's dynamic scheduler and its state view
-// for direct unit testing.
-func dynSched(t *testing.T, m *Machine) (*dynamicSched, *SchedState) {
-	t.Helper()
-	d, ok := m.coord.sched.(*dynamicSched)
-	if !ok {
-		t.Fatalf("scheduler is %T, want *dynamicSched", m.coord.sched)
-	}
-	return d, &m.coord.state
-}
-
 func TestChooseDistinctLanes(t *testing.T) {
 	m := newIdleMachine(t, 4)
-	d, s := dynSched(t, m)
-	lanes := d.distinctLanes(s, 3)
+	c := m.coord
+	lanes := c.distinctLanes(3)
 	if len(lanes) != 3 {
 		t.Fatalf("got %d lanes, want 3", len(lanes))
 	}
@@ -47,13 +36,13 @@ func TestChooseDistinctLanes(t *testing.T) {
 		}
 		seen[l] = true
 	}
-	if d.distinctLanes(s, 5) != nil {
+	if c.distinctLanes(5) != nil {
 		t.Fatal("choosing more lanes than exist must fail")
 	}
 	// Work-aware preference: load lane 0 heavily, it must come last or
 	// not at all in a partial pick.
-	m.coord.laneWork[0] = 1000
-	pick := d.distinctLanes(s, 1)
+	c.laneWork[0] = 1000
+	pick := c.distinctLanes(1)
 	if pick[0] == 0 {
 		t.Fatal("least-loaded pick chose the most loaded lane")
 	}
@@ -66,17 +55,17 @@ func TestChooseDistinctLanes(t *testing.T) {
 func TestChooseDistinctLanesRoundRobinWhenLBOff(t *testing.T) {
 	m := newIdleMachine(t, 4)
 	m.cfg.Task.EnableWorkAwareLB = false
-	d, s := dynSched(t, m)
+	c := m.coord
 	// A heavy load on lane 0 must not matter in round-robin mode.
-	m.coord.laneWork[0] = 1000
-	if got := d.distinctLanes(s, 2); got[0] != 0 || got[1] != 1 {
+	c.laneWork[0] = 1000
+	if got := c.distinctLanes(2); got[0] != 0 || got[1] != 1 {
 		t.Fatalf("rr group pick from cursor 0 = %v, want [0 1]", got)
 	}
-	if d.rr != 2 {
-		t.Fatalf("cursor after group pick = %d, want 2", d.rr)
+	if c.rr != 2 {
+		t.Fatalf("cursor after group pick = %d, want 2", c.rr)
 	}
 	// The cursor keeps rotating across picks, wrapping at the end.
-	if got := d.distinctLanes(s, 3); got[0] != 2 || got[1] != 3 || got[2] != 0 {
+	if got := c.distinctLanes(3); got[0] != 2 || got[1] != 3 || got[2] != 0 {
 		t.Fatalf("rr group pick from cursor 2 = %v, want [2 3 0]", got)
 	}
 }
@@ -84,10 +73,9 @@ func TestChooseDistinctLanesRoundRobinWhenLBOff(t *testing.T) {
 func TestPickLaneRoundRobinWhenLBOff(t *testing.T) {
 	m := newIdleMachine(t, 4)
 	m.cfg.Task.EnableWorkAwareLB = false
-	d, s := dynSched(t, m)
-	a := d.pickLane(s, 0)
-	b := d.pickLane(s, 0)
-	c := d.pickLane(s, 0)
+	a := m.coord.pickLane(0)
+	b := m.coord.pickLane(0)
+	c := m.coord.pickLane(0)
 	if a == b && b == c {
 		t.Fatalf("round-robin must rotate, got %d,%d,%d", a, b, c)
 	}
@@ -129,17 +117,18 @@ func TestStaticPartitionIsContiguousBlocks(t *testing.T) {
 			Outs: []OutArg{{Kind: OutDiscard, N: 0}}})
 	}
 	// Trigger the partition build via one dispatch attempt.
-	st := c.sched.(*staticSched)
-	st.Dispatch(&c.state, 0)
+	if !c.dispatchOne() {
+		t.Fatal("static dispatch found no lane")
+	}
 	// After one dispatch the assignment list has 7 entries left; the
 	// original pattern is block-contiguous.
 	want := []int{0, 1, 1, 2, 2, 3, 3}
-	if len(st.assigned) != len(want) {
-		t.Fatalf("assigned = %v", st.assigned)
+	if len(c.assigned) != len(want) {
+		t.Fatalf("assigned = %v", c.assigned)
 	}
 	for i, w := range want {
-		if st.assigned[i] != w {
-			t.Fatalf("assignment[%d] = %d, want %d (%v)", i, st.assigned[i], w, st.assigned)
+		if c.assigned[i] != w {
+			t.Fatalf("assignment[%d] = %d, want %d (%v)", i, c.assigned[i], w, c.assigned)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"taskstream/internal/config"
 	"taskstream/internal/fabric"
 	"taskstream/internal/mem"
-	"taskstream/internal/sim"
 	"taskstream/internal/stats"
 )
 
@@ -481,12 +480,6 @@ func TestSpawnIntoCurrentPhase(t *testing.T) {
 	}
 }
 
-// stuckSched never dispatches.
-type stuckSched struct{}
-
-func (stuckSched) Dispatch(*SchedState, sim.Cycle) bool { return false }
-func (stuckSched) PhaseStart(*SchedState, int)          {}
-
 // TestCycleLimitErrorNamesBacklog pins the diagnosis of a run whose
 // tasks stay pending while every component idles: the error says the
 // done predicate is unmet and how many tasks wait in which phase.
@@ -496,7 +489,7 @@ func TestCycleLimitErrorNamesBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.coord.sched = stuckSched{}
+	m.cfg.Task.DispatchPerCycle = 0 // the coordinator never dispatches
 	_, err = m.Run()
 	if err == nil {
 		t.Fatal("want a cycle-limit error")

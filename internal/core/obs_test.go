@@ -74,16 +74,25 @@ func TestObsLaneSpansCoverRun(t *testing.T) {
 			t.Fatalf("lane %d spans cover %d cycles, run took %d", lane, sum, rep.Cycles)
 		}
 	}
-	if m.Dispatches != rep.Stats.Get("tasks_dispatched") {
-		t.Fatalf("obs dispatches = %d, stats say %d",
-			m.Dispatches, rep.Stats.Get("tasks_dispatched"))
+	if got, want := countEvents(sink)[obs.KindDispatch], rep.Stats.Get("tasks_dispatched"); got != want {
+		t.Fatalf("obs dispatch events = %d, stats say %d", got, want)
 	}
+}
+
+// countEvents tallies a sink's buffered events by kind.
+func countEvents(sink *obs.Sink) map[obs.Kind]int64 {
+	n := map[obs.Kind]int64{}
+	for _, ev := range sink.Events() {
+		n[ev.Kind]++
+	}
+	return n
 }
 
 // TestObsMulticastMatchesTrafficCounters pins the multicast event
 // stream against the E9 traffic counters: hits+misses = table joins,
-// misses = groups opened, and the hit events' lines-saved arguments sum
-// to the machine's mcast_lines_saved counter.
+// misses = groups opened, the hit events' lines-saved arguments sum to
+// the machine's mcast_lines_saved counter, and every group line leaving
+// a memory controller is one forward event.
 func TestObsMulticastMatchesTrafficCounters(t *testing.T) {
 	st := mem.NewStorage()
 	prog := sharedReadProgram(st, 8, 1024, 64)
@@ -91,22 +100,19 @@ func TestObsMulticastMatchesTrafficCounters(t *testing.T) {
 	cfg.Task.EnableMulticast = true
 	sink := obs.New(0)
 	rep := buildAndRun(t, cfg, prog, st, Options{Obs: sink})
-	m := sink.Metrics()
-	if m.McastHits == 0 {
-		t.Fatal("no multicast hit events observed")
+	n := countEvents(sink)
+	hits, misses, fwds := n[obs.KindMcastHit], n[obs.KindMcastMiss], n[obs.KindMcastForward]
+	if hits == 0 || fwds == 0 {
+		t.Fatalf("multicast events: %d hits, %d forwards; want both observed", hits, fwds)
 	}
-	if got, want := m.McastHits+m.McastMisses, rep.Stats.Get("mcast_joins"); got != want {
+	if got, want := hits+misses, rep.Stats.Get("mcast_joins"); got != want {
 		t.Fatalf("hit+miss events = %d, mcast_joins = %d", got, want)
 	}
-	if got, want := m.McastMisses, rep.Stats.Get("mcast_groups"); got != want {
+	if got, want := misses, rep.Stats.Get("mcast_groups"); got != want {
 		t.Fatalf("miss events = %d, mcast_groups = %d", got, want)
 	}
-	if got, want := m.McastLinesSaved, rep.Stats.Get("mcast_lines_saved"); got != want {
-		t.Fatalf("hit events' lines saved = %d, mcast_lines_saved = %d", got, want)
-	}
-	// Every group line leaving a memory controller is one forward event.
-	if m.McastForwards == 0 {
-		t.Fatal("no multicast forward events observed")
+	if got, want := fwds, rep.Stats.Get("dram_lines_read")-rep.Stats.Get("lane_dram_line_reads"); got != want {
+		t.Fatalf("forward events = %d, group lines read from DRAM = %d", got, want)
 	}
 	var hitLines int64
 	for _, ev := range sink.Events() {
@@ -114,9 +120,8 @@ func TestObsMulticastMatchesTrafficCounters(t *testing.T) {
 			hitLines += ev.B
 		}
 	}
-	if hitLines != m.McastLinesSaved {
-		t.Fatalf("raw hit events sum to %d lines saved, metrics folded %d",
-			hitLines, m.McastLinesSaved)
+	if want := rep.Stats.Get("mcast_lines_saved"); hitLines != want {
+		t.Fatalf("hit events' lines saved = %d, mcast_lines_saved = %d", hitLines, want)
 	}
 }
 

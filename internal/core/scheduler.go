@@ -2,15 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
-
-	"taskstream/internal/sim"
 )
 
-// Policy selects how the machine distributes tasks over lanes. Each
-// value names one Scheduler implementation (DESIGN.md §17); the policy
-// participates in Options.CacheKey, so runs under distinct policies
-// never share a memoized result.
+// Policy selects how the coordinator distributes tasks over lanes
+// (DESIGN.md §17). The policy participates in Options.CacheKey, so
+// runs under distinct policies never share a memoized result.
 type Policy uint8
 
 const (
@@ -59,89 +57,70 @@ func ParsePolicy(name string) (Policy, error) {
 		name, strings.Join(policyNames[:], ", "))
 }
 
-// Scheduler is the pluggable dispatch policy behind the coordinator
-// (DESIGN.md §17). The coordinator owns everything every policy
-// shares — phase queues and barriers, control pipes, the outstanding-
-// work load model, forward-group formation, obs emission — and
-// delegates only the decisions: which pending task goes to which lane,
-// and when to form a forward group.
+// dispatchOne dispatches one task, or one whole forward group, from
+// the current phase queue under the run's policy, reporting success.
+// The coordinator calls it up to DispatchPerCycle times per cycle,
+// stopping at the first false.
 //
-// Contract:
-//   - Dispatch is called only when the current phase has pending
-//     tasks; it either dispatches exactly one task (or one whole
-//     forward group) through SchedState and returns true, or returns
-//     false meaning no dispatch is possible this cycle.
-//   - All methods run inside the coordinator's Tick, so policies need
-//     no locking.
-//   - §11 fast-forwarding: policy decisions must be event-driven.
-//     State may change only on Dispatch and PhaseStart — both fire
-//     identically with fast-forwarding on or off — never as a function
-//     of how often Tick happens to run.
-type Scheduler interface {
-	// Dispatch attempts to dispatch one task (or forward group) from
-	// the current phase queue, reporting success. The coordinator calls
-	// it up to DispatchPerCycle times per cycle, stopping at the first
-	// false.
-	Dispatch(s *SchedState, now sim.Cycle) bool
-	// PhaseStart announces that the coordinator advanced to phase p;
-	// per-phase policy state (partitions, assignments) resets here.
-	PhaseStart(s *SchedState, p int)
-}
-
-// newScheduler constructs the policy's scheduler. NewMachine validates
-// the policy value first, so an unknown one here is an internal error.
-func newScheduler(p Policy) (Scheduler, error) {
-	switch p {
-	case PolicyDynamic:
-		return &dynamicSched{}, nil
-	case PolicyStatic:
-		return &staticSched{}, nil
-	case PolicyPipeline:
-		return &dynamicSched{weighted: true}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown policy %d (valid: %s)",
-			uint8(p), strings.Join(policyNames[:], ", "))
+// The dynamic policies dispatch the queue head. When it produces a
+// tagged stream and forwarding is enabled, the coordinator first tries
+// to co-dispatch its whole forward group, recovering the pipelined
+// inter-task dependence; if the group cannot form, the task runs alone
+// with memory-mediated output.
+//
+// Decisions are event-driven (DESIGN.md §11): the round-robin cursor
+// and the static partition change only at a dispatch or a phase
+// change, never per tick, so a run decides the same however often the
+// coordinator ticks.
+func (c *coordinator) dispatchOne() bool {
+	if len(c.pending[c.phase]) == 0 {
+		return false
 	}
+	if c.policy == PolicyStatic {
+		return c.dispatchStatic()
+	}
+	if c.m.cfg.Task.EnableForwarding && c.tryForwardGroup() {
+		return true
+	}
+	lane := c.pickLane(0)
+	if lane < 0 {
+		return false
+	}
+	c.dispatch(0, lane)
+	return true
 }
 
-// SchedState is the machine view a Scheduler decides over: the current
-// phase's task queue, the per-lane load model (queue occupancy plus
-// outstanding-work estimates), the mechanism toggles, and the two
-// actions — dispatching one task and forming a forward group. It is a
-// facade over the coordinator; policies hold no machine references of
-// their own, which is what keeps them portable to per-chip
-// coordinators later.
-type SchedState struct {
-	c *coordinator
+// dispatchStatic is the static-parallel comparator (PolicyStatic): the
+// phase's tasks are block-partitioned over lanes in arrival order, and
+// each may only run on its assigned lane. It never forms forward
+// groups — dependences stay memory-mediated, as in the paper's
+// baseline.
+func (c *coordinator) dispatchStatic() bool {
+	if late := len(c.pending[c.phase]) - len(c.assigned); late > 0 {
+		// The phase's first dispatch partitions its queue into
+		// contiguous blocks, the compile-time division the paper's
+		// baseline uses. Tasks that kernels spawn into the running
+		// phase arrive after that; they are block-partitioned among
+		// themselves and appended, so every pending task has a lane.
+		for i := 0; i < late; i++ {
+			c.assigned = append(c.assigned, i*c.m.cfg.Lanes/late)
+		}
+	}
+	// Dispatch the first task whose assigned lane has queue space.
+	for i, lane := range c.assigned {
+		if c.m.lanes[lane].QueueSpace() == 0 {
+			continue
+		}
+		c.assigned = removeAt(c.assigned, i)
+		c.dispatch(i, lane)
+		return true
+	}
+	return false
 }
 
-// NumLanes returns the lane count.
-func (s *SchedState) NumLanes() int { return s.c.m.cfg.Lanes }
-
-// Pending returns the current phase's undispatched task FIFO. The
-// slice is the coordinator's live queue: read-only for policies, and
-// invalidated by Dispatch/TryForwardGroup.
-func (s *SchedState) Pending() []Task { return s.c.pending[s.c.phase] }
-
-// QueueFree returns the lane's remaining hardware task-queue slots.
-func (s *SchedState) QueueFree(lane int) int { return s.c.m.lanes[lane].QueueSpace() }
-
-// LaneWork returns the lane's outstanding work estimate: the sum of
-// effective hints of dispatched-but-incomplete tasks.
-func (s *SchedState) LaneWork(lane int) int64 { return s.c.laneWork[lane] }
-
-// WorkAware reports whether the config enables work-aware load
-// balancing (false means round-robin preference).
-func (s *SchedState) WorkAware() bool { return s.c.m.cfg.Task.EnableWorkAwareLB }
-
-// ForwardingEnabled reports whether forward-group formation is on.
-func (s *SchedState) ForwardingEnabled() bool { return s.c.m.cfg.Task.EnableForwarding }
-
-// Dispatch pops the idx-th task of the current phase queue and sends
-// it to lane, booking the load model and obs dispatch event. The lane
-// must have queue space.
-func (s *SchedState) Dispatch(idx, lane int) {
-	c := s.c
+// dispatch pops the idx-th task of the current phase queue and sends
+// it to lane, which must have queue space.
+func (c *coordinator) dispatch(idx, lane int) {
 	t := c.pending[c.phase][idx]
 	c.removePending(c.phase, idx)
 	r, err := c.m.resolve(t, lane, resolveOpts{})
@@ -151,16 +130,94 @@ func (s *SchedState) Dispatch(idx, lane int) {
 	c.send(r, lane)
 }
 
-// TryForwardGroup attempts to co-dispatch the forward group seeded by
-// the head pending task (which must produce a forward tag): the
-// consumer of its tag plus every other still-pending producer that
-// consumer needs. The group-formation mechanics — membership, queue
-// removal, gate coupling, destination patching — live in the
-// coordinator; the policy supplies only choose, which is handed the
-// group members' effective work hints (producers in order, consumer
-// last) and returns one distinct lane with queue space per member,
-// aligned to the weights (or nil to refuse). Reports whether the group
-// dispatched.
-func (s *SchedState) TryForwardGroup(choose func(weights []int64) []int) bool {
-	return s.c.tryForwardGroup(choose)
+// groupLanes places a forward group whose members have work hints w
+// (producers in order, consumer last) on distinct lanes with queue
+// space, aligned to w, or returns nil.
+func (c *coordinator) groupLanes(w []int64) []int {
+	if c.policy == PolicyPipeline {
+		return c.weightedLanes(w)
+	}
+	return c.distinctLanes(len(w))
+}
+
+// pickLane chooses a dispatch target with queue space whose bit is
+// clear in taken, or -1. Work-aware: least outstanding work;
+// otherwise round-robin from the cursor, which advances past the pick.
+func (c *coordinator) pickLane(taken uint64) int {
+	if c.m.cfg.Task.EnableWorkAwareLB {
+		return c.leastLoaded(taken)
+	}
+	n := c.m.cfg.Lanes
+	for k := 0; k < n; k++ {
+		i := (c.rr + k) % n
+		if taken&(1<<i) != 0 || c.m.lanes[i].QueueSpace() == 0 {
+			continue
+		}
+		c.rr = (i + 1) % n
+		return i
+	}
+	return -1
+}
+
+// distinctLanes picks k distinct lanes with queue space by the active
+// dispatch preference — least outstanding work under work-aware
+// balancing, round-robin order (advancing the shared cursor per pick)
+// otherwise — or nil if impossible.
+func (c *coordinator) distinctLanes(k int) []int {
+	chosen := make([]int, 0, k)
+	var taken uint64
+	for len(chosen) < k {
+		lane := c.pickLane(taken)
+		if lane < 0 {
+			return nil
+		}
+		taken |= 1 << lane
+		chosen = append(chosen, lane)
+	}
+	return chosen
+}
+
+// weightedLanes places a forward group consumer-first: the consumer
+// (last member) anchors on the least-loaded free lane — the whole
+// group streams through it, so it must reach the fabric fast — then
+// the producers, heaviest work hint first, each take the least-loaded
+// remaining free lane, so the heavy stage gets the emptiest queue.
+// The result is aligned to w's member order, or nil when fewer free
+// lanes exist than members.
+func (c *coordinator) weightedLanes(w []int64) []int {
+	order := make([]int, len(w))
+	for i := range order {
+		order[i] = i
+	}
+	order[0], order[len(w)-1] = order[len(w)-1], order[0]
+	rest := order[1:]
+	sort.SliceStable(rest, func(a, b int) bool { return w[rest[a]] > w[rest[b]] })
+	lanes := make([]int, len(w))
+	var taken uint64
+	for _, m := range order {
+		best := c.leastLoaded(taken)
+		if best < 0 {
+			return nil
+		}
+		taken |= 1 << best
+		lanes[m] = best
+	}
+	return lanes
+}
+
+// leastLoaded returns the lane with queue space and the least
+// outstanding work among those whose bit is clear in taken, or -1.
+// Ties go to the lowest lane index. Lane counts stay below
+// noc.MaxNodes (64), so one uint64 holds every lane's bit.
+func (c *coordinator) leastLoaded(taken uint64) int {
+	best, bestWork := -1, int64(0)
+	for i, n := 0, c.m.cfg.Lanes; i < n; i++ {
+		if taken&(1<<i) != 0 || c.m.lanes[i].QueueSpace() == 0 {
+			continue
+		}
+		if w := c.laneWork[i]; best < 0 || w < bestWork {
+			best, bestWork = i, w
+		}
+	}
+	return best
 }

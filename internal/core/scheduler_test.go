@@ -1,23 +1,9 @@
 package core
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
-
-	"taskstream/internal/mem"
 )
-
-// newPolicyMachine builds an idle machine running the given policy,
-// for direct unit testing of scheduler internals.
-func newPolicyMachine(t *testing.T, lanes int, p Policy) *Machine {
-	t.Helper()
-	prog := &Program{Name: "idle", Types: []*TaskType{copyType()}, NumPhases: 1}
-	m, err := NewMachine(testConfig(lanes), prog, mem.NewStorage(), Options{Policy: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 func TestParsePolicyRoundTrip(t *testing.T) {
 	for p := Policy(0); p < NumPolicies; p++ {
@@ -37,25 +23,31 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSchedulerNamesMatchPolicies pins the policy → scheduler mapping:
-// pipeline is the dynamic scheduler with weighted group placement.
-func TestSchedulerNamesMatchPolicies(t *testing.T) {
-	want := map[string]Scheduler{
-		"dynamic":  &dynamicSched{},
-		"static":   &staticSched{},
-		"pipeline": &dynamicSched{weighted: true},
-	}
-	for p := Policy(0); p < NumPolicies; p++ {
-		sched, err := newScheduler(p)
-		if err != nil {
-			t.Fatalf("newScheduler(%v): %v", p, err)
+// TestPipelineEqualsDynamicWithoutForwarding pins what separates the
+// pipeline policy from dynamic: only where a forward group goes. With
+// forwarding off no group forms, so on every generated program, with
+// and without work-aware balancing, both policies must report the same
+// bytes.
+func TestPipelineEqualsDynamicWithoutForwarding(t *testing.T) {
+	for seed := uint64(70); seed <= 79; seed++ {
+		for _, lb := range []bool{true, false} {
+			cfg := testConfig(4)
+			cfg.Task.EnableForwarding = false
+			cfg.Task.EnableWorkAwareLB = lb
+			var enc [2][]byte
+			for i, p := range []Policy{PolicyDynamic, PolicyPipeline} {
+				prog, st, _ := randomProgram(seed)
+				b, err := EncodeReport(buildAndRun(t, cfg, prog, st, Options{Policy: p}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc[i] = b
+			}
+			if !bytes.Equal(enc[0], enc[1]) {
+				t.Fatalf("seed %d, work-aware %t: pipeline report differs from dynamic's:\n%s\n%s",
+					seed, lb, enc[1], enc[0])
+			}
 		}
-		if !reflect.DeepEqual(sched, want[p.String()]) {
-			t.Fatalf("policy %v builds %#v, want %#v", p, sched, want[p.String()])
-		}
-	}
-	if _, err := newScheduler(NumPolicies); err == nil {
-		t.Fatal("newScheduler accepted an unregistered policy")
 	}
 }
 
@@ -64,15 +56,14 @@ func TestSchedulerNamesMatchPolicies(t *testing.T) {
 // lane, the heaviest producer takes the next-least-loaded, and the
 // result stays aligned to member order.
 func TestWeightedLanesPlacement(t *testing.T) {
-	m := newPolicyMachine(t, 4, PolicyPipeline)
-	s := &m.coord.state
-	m.coord.laneWork[0] = 400
-	m.coord.laneWork[1] = 300
-	m.coord.laneWork[2] = 200
-	m.coord.laneWork[3] = 100
+	c := newIdleMachine(t, 4).coord
+	c.laneWork[0] = 400
+	c.laneWork[1] = 300
+	c.laneWork[2] = 200
+	c.laneWork[3] = 100
 
 	// Members: light producer (w=10), heavy producer (w=90), consumer.
-	lanes := weightedLanes(s, []int64{10, 90, 50})
+	lanes := c.weightedLanes([]int64{10, 90, 50})
 	if len(lanes) != 3 {
 		t.Fatalf("got %d lanes, want 3", len(lanes))
 	}
@@ -87,10 +78,10 @@ func TestWeightedLanesPlacement(t *testing.T) {
 	}
 
 	// Equal loads tie toward the lowest lane index, member by member.
-	for i := range m.coord.laneWork {
-		m.coord.laneWork[i] = 0
+	for i := range c.laneWork {
+		c.laneWork[i] = 0
 	}
-	if got := weightedLanes(s, []int64{10, 90, 50}); got[2] != 0 || got[1] != 1 || got[0] != 2 {
+	if got := c.weightedLanes([]int64{10, 90, 50}); got[2] != 0 || got[1] != 1 || got[0] != 2 {
 		t.Fatalf("tied lanes = %v, want [2 1 0] (consumer, heavy, light from lane 0 up)", got)
 	}
 }
@@ -98,9 +89,8 @@ func TestWeightedLanesPlacement(t *testing.T) {
 // TestWeightedLanesRefusesWhenFull reports nil when fewer free lanes
 // exist than group members.
 func TestWeightedLanesRefusesWhenFull(t *testing.T) {
-	m := newPolicyMachine(t, 2, PolicyPipeline)
-	s := &m.coord.state
-	if lanes := weightedLanes(s, []int64{1, 2, 3}); lanes != nil {
+	c := newIdleMachine(t, 2).coord
+	if lanes := c.weightedLanes([]int64{1, 2, 3}); lanes != nil {
 		t.Fatalf("got %v for a 3-member group on 2 lanes, want nil", lanes)
 	}
 }

@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Mapping is the result of placing and routing a DFG onto a lane's FU
 // grid: the two numbers the pipeline timing model consumes, plus the
@@ -169,12 +166,4 @@ func Map(g *DFG, rows, cols int) (Mapping, error) {
 		lat = 1
 	}
 	return Mapping{II: ii, Latency: lat, Place: place, MaxLinkLoad: maxLoad, Cells: used}, nil
-}
-
-// SortedPlace returns placement cells in node order — a helper for
-// deterministic golden tests.
-func (m Mapping) SortedPlace() []int {
-	p := append([]int(nil), m.Place...)
-	sort.Ints(p)
-	return p
 }

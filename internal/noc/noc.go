@@ -1,15 +1,18 @@
 // Package noc models the accelerator's on-chip network: a 2-D mesh with
 // dimension-order (X-Y) routing, per-link serialization at flit
-// granularity, bounded router buffering with head-of-line blocking, and
-// hardware multicast (a message carries a destination bitmask and is
-// replicated at the router where its routes diverge — tree multicast).
+// granularity, bounded injection and link transmit queues with
+// head-of-line blocking, and hardware multicast (a message carries a
+// destination bitmask and is replicated at the router where its routes
+// diverge — tree multicast).
 //
 // Messages move at virtual-cut-through granularity: a message occupies
 // each link for ceil(bytes/flitBytes) cycles and arrives at the next
-// router after the link latency. Ejection queues are unbounded; traffic
-// sources in this machine are self-throttled (bounded outstanding
-// requests), which together with X-Y routing keeps the network
-// deadlock-free.
+// router after the link latency. Links transmit without credits: a free
+// link sends its queue head whatever the receiving router holds, so an
+// in-link's in-flight FIFO has no bound, and neither have the ejection
+// queues. Traffic sources in this machine are self-throttled (bounded
+// outstanding requests), which together with X-Y routing keeps the
+// network deadlock-free.
 //
 // A tick costs what the traffic costs. Routing splits a destination
 // set with one AND per direction against masks precomputed from the

@@ -8,25 +8,16 @@ import (
 )
 
 // Metrics is the registry folded incrementally from the event stream:
-// per-lane per-cause cycle breakdowns and machine-wide event counts.
-// It is built by Sink.Emit; read it through Sink.Metrics after a run.
+// per-lane per-cause cycle breakdowns and the NoC link-transmission
+// count, the two things no Report counter holds. It is built by
+// Sink.Emit; read it through Sink.Metrics after a run.
 type Metrics struct {
 	// laneCause[lane][cause] is the cycles lane spent in cause-state
 	// spans (KindLaneState Dur totals).
 	laneCause map[int32]*[NumCauses]int64
 
-	// Machine-wide event counts.
-	Dispatches      int64
-	SpansIssued     int64
-	SpansCompleted  int64
-	McastHits       int64
-	McastMisses     int64
-	McastLinesSaved int64
-	McastForwards   int64
-	NoCHops         int64
-	NoCBusyCycles   int64
-	DRAMServices    int64
-	DRAMBusyCycles  int64
+	// NoCHops counts link transmissions (KindNoCHop events).
+	NoCHops int64
 }
 
 func newMetrics() Metrics {
@@ -36,8 +27,6 @@ func newMetrics() Metrics {
 // fold accumulates one event into the registry.
 func (m *Metrics) fold(ev Event) {
 	switch ev.Kind {
-	case KindDispatch:
-		m.Dispatches++
 	case KindLaneState:
 		lc := m.laneCause[ev.Comp]
 		if lc == nil {
@@ -47,23 +36,8 @@ func (m *Metrics) fold(ev Event) {
 		if ev.Cause < NumCauses {
 			lc[ev.Cause] += ev.Dur
 		}
-	case KindSpanIssue:
-		m.SpansIssued++
-	case KindSpanComplete:
-		m.SpansCompleted++
-	case KindMcastHit:
-		m.McastHits++
-		m.McastLinesSaved += ev.B
-	case KindMcastMiss:
-		m.McastMisses++
-	case KindMcastForward:
-		m.McastForwards++
 	case KindNoCHop:
 		m.NoCHops++
-		m.NoCBusyCycles += ev.Dur
-	case KindDRAM:
-		m.DRAMServices++
-		m.DRAMBusyCycles += ev.Dur
 	}
 }
 
@@ -91,20 +65,10 @@ func (m *Metrics) CauseTotal(cause Cause) int64 {
 // output is deterministic.
 func (m *Metrics) Stats() *stats.Set {
 	s := stats.NewSet()
-	s.SetVal("obs_dispatches", m.Dispatches)
 	for c := Cause(0); c < NumCauses; c++ {
 		s.SetVal("obs_lane_cycles_"+c.String(), m.CauseTotal(c))
 	}
-	s.SetVal("obs_spans_issued", m.SpansIssued)
-	s.SetVal("obs_spans_completed", m.SpansCompleted)
-	s.SetVal("obs_mcast_hits", m.McastHits)
-	s.SetVal("obs_mcast_misses", m.McastMisses)
-	s.SetVal("obs_mcast_lines_saved", m.McastLinesSaved)
-	s.SetVal("obs_mcast_forwards", m.McastForwards)
 	s.SetVal("obs_noc_hops", m.NoCHops)
-	s.SetVal("obs_noc_busy_cycles", m.NoCBusyCycles)
-	s.SetVal("obs_dram_services", m.DRAMServices)
-	s.SetVal("obs_dram_busy_cycles", m.DRAMBusyCycles)
 	return s
 }
 

@@ -18,7 +18,7 @@ func TestNilSinkSafe(t *testing.T) {
 	if s.Metrics() == nil {
 		t.Fatal("nil sink must still return an (empty) metrics registry")
 	}
-	if s.Metrics().Dispatches != 0 {
+	if s.Metrics().NoCHops != 0 || s.Metrics().CauseTotal(CauseRun) != 0 {
 		t.Fatal("nil sink metrics must be empty")
 	}
 }
@@ -29,16 +29,19 @@ func TestNilSinkSafe(t *testing.T) {
 func TestSinkLimitDropsEventsNotMetrics(t *testing.T) {
 	s := New(2)
 	for i := 0; i < 5; i++ {
-		s.Emit(Event{Kind: KindDispatch, Cycle: int64(i)})
+		s.Emit(Event{Kind: KindLaneState, Cycle: int64(i), Comp: 1, Cause: CauseRun, Dur: 1})
+		s.Emit(Event{Kind: KindNoCHop, Cycle: int64(i), Comp: 2, Dur: 1})
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if s.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", s.Dropped())
+	if s.Dropped() != 8 {
+		t.Fatalf("Dropped = %d, want 8", s.Dropped())
 	}
-	if s.Metrics().Dispatches != 5 {
-		t.Fatalf("Dispatches = %d, want 5 (metrics must survive drops)", s.Metrics().Dispatches)
+	m := s.Metrics()
+	if m.LaneCause(1, CauseRun) != 5 || m.NoCHops != 5 {
+		t.Fatalf("lane 1 run = %d, hops = %d, want 5, 5 (metrics must survive drops)",
+			m.LaneCause(1, CauseRun), m.NoCHops)
 	}
 }
 
@@ -101,10 +104,8 @@ func TestLimit(t *testing.T) {
 			if evs := s.Events(); !slices.Equal(evs, stream[:held]) {
 				t.Fatalf("Events returned %d events, not the first %d emitted in order", len(evs), held)
 			}
-			m := s.Metrics()
-			if m.Dispatches != int64(len(wantSpans)) || m.NoCHops != hops || m.NoCBusyCycles != 3*hops {
-				t.Fatalf("metrics: dispatches=%d hops=%d busy=%d, want %d, %d, %d",
-					m.Dispatches, m.NoCHops, m.NoCBusyCycles, len(wantSpans), hops, 3*hops)
+			if m := s.Metrics(); m.NoCHops != hops {
+				t.Fatalf("metrics: hops=%d, want %d", m.NoCHops, hops)
 			}
 			spans := s.Spans()
 			if len(spans) != len(wantSpans) {
@@ -158,7 +159,9 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-// TestMetricsFold pins the per-kind folding rules.
+// TestMetricsFold pins the per-kind folding rules: lane-state spans
+// fold per lane and cause, each NoC hop counts one transmission, and
+// every other kind folds into nothing.
 func TestMetricsFold(t *testing.T) {
 	s := New(0)
 	s.Emit(Event{Kind: KindLaneState, Comp: 0, Cause: CauseRun, Dur: 10})
@@ -168,7 +171,7 @@ func TestMetricsFold(t *testing.T) {
 	s.Emit(Event{Kind: KindDRAM, Comp: 1, Dur: 8})
 	s.Emit(Event{Kind: KindMcastHit, B: 16})
 	s.Emit(Event{Kind: KindSpanIssue})
-	s.Emit(Event{Kind: KindSpanComplete})
+	s.Emit(Event{Kind: KindDispatch, Comp: 1})
 	m := s.Metrics()
 	if m.LaneCause(0, CauseRun) != 10 || m.LaneCause(0, CauseStallDRAM) != 4 {
 		t.Fatalf("lane 0 cause cycles wrong: run=%d dram=%d",
@@ -177,20 +180,14 @@ func TestMetricsFold(t *testing.T) {
 	if m.CauseTotal(CauseRun) != 17 {
 		t.Fatalf("CauseTotal(run) = %d, want 17", m.CauseTotal(CauseRun))
 	}
-	if m.NoCHops != 1 || m.NoCBusyCycles != 2 {
-		t.Fatalf("noc: hops=%d busy=%d", m.NoCHops, m.NoCBusyCycles)
-	}
-	if m.DRAMServices != 1 || m.DRAMBusyCycles != 8 {
-		t.Fatalf("dram: services=%d busy=%d", m.DRAMServices, m.DRAMBusyCycles)
-	}
-	if m.McastHits != 1 || m.McastLinesSaved != 16 {
-		t.Fatalf("mcast: hits=%d saved=%d", m.McastHits, m.McastLinesSaved)
-	}
-	if m.SpansIssued != 1 || m.SpansCompleted != 1 {
-		t.Fatalf("spans: issued=%d completed=%d", m.SpansIssued, m.SpansCompleted)
+	if m.NoCHops != 1 {
+		t.Fatalf("noc hops = %d, want 1", m.NoCHops)
 	}
 	set := m.Stats()
-	if set.Get("obs_lane_cycles_run") != 17 || set.Get("obs_noc_hops") != 1 {
+	if n := len(set.Names()); n != int(NumCauses)+1 {
+		t.Fatalf("Stats() holds %d counters, want %d (one per cause, plus hops): %s", n, NumCauses+1, set)
+	}
+	if set.Get("obs_lane_cycles_run") != 17 || set.Get("obs_lane_cycles_stall-dram") != 4 || set.Get("obs_noc_hops") != 1 {
 		t.Fatalf("Stats() fold wrong: %s", set.String())
 	}
 }

@@ -68,12 +68,13 @@ func TestTracedSuiteExport(t *testing.T) {
 			}
 			// pid 2..6 = lanes, stream-engines, noc, dram, multicast
 			// (export.go). A workload whose every read multicasts
-			// (gemm) issues no stream-engine spans.
+			// (gemm) issues no stream-engine spans: each span is one
+			// line a lane reads from DRAM itself.
 			want := map[float64]string{2: "lane", 4: "noc", 5: "dram"}
-			if m.SpansIssued > 0 {
+			if rep.Stats.Get("lane_dram_line_reads") > 0 {
 				want[3] = "stream-engine"
 			}
-			if m.McastHits+m.McastMisses+m.McastForwards > 0 {
+			if rep.Stats.Get("mcast_joins") > 0 {
 				want[6] = "multicast"
 			}
 			tracks := map[float64]int{}

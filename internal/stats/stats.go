@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -98,13 +97,6 @@ func (s *Set) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	for _, n := range other.names {
-		s.Add(n, other.vals[n])
-	}
-}
-
 // String renders the set as "name=value" pairs, one per line.
 func (s *Set) String() string {
 	var b strings.Builder
@@ -119,7 +111,6 @@ func (s *Set) String() string {
 // most a few million entries.
 type Histogram struct {
 	samples []int64
-	sorted  bool
 	sum     int64
 }
 
@@ -130,7 +121,6 @@ func NewHistogram() *Histogram { return &Histogram{} }
 func (h *Histogram) Observe(v int64) {
 	h.samples = append(h.samples, v)
 	h.sum += v
-	h.sorted = false
 }
 
 // Count returns the number of samples.
@@ -152,17 +142,6 @@ func (h *Histogram) Max() int64 {
 	var m int64
 	for i, v := range h.samples {
 		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	var m int64
-	for i, v := range h.samples {
-		if i == 0 || v < m {
 			m = v
 		}
 	}
@@ -192,30 +171,6 @@ func (h *Histogram) CV() float64 {
 		return 0
 	}
 	return h.Stddev() / m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank; 0 when empty.
-func (h *Histogram) Percentile(p float64) int64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return h.samples[rank-1]
 }
 
 // Imbalance quantifies load imbalance over per-worker totals as

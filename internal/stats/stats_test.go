@@ -25,17 +25,6 @@ func TestSetOrderAndValues(t *testing.T) {
 	}
 }
 
-func TestSetMerge(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Fatalf("merge: x=%d y=%d, want 3 3", a.Get("x"), a.Get("y"))
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
 	for _, v := range []int64{4, 1, 9, 4} {
@@ -47,8 +36,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 4.5 {
 		t.Fatalf("mean = %v, want 4.5", h.Mean())
 	}
-	if h.Min() != 1 || h.Max() != 9 {
-		t.Fatalf("min/max = %d/%d, want 1/9", h.Min(), h.Max())
+	if h.Max() != 9 {
+		t.Fatalf("max = %d, want 9", h.Max())
 	}
 	// population stddev of {4,1,9,4}: mean 4.5, squared devs .25+12.25+20.25+.25=33 → sqrt(8.25)
 	want := math.Sqrt(8.25)
@@ -57,30 +46,9 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram()
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	cases := []struct {
-		p    float64
-		want int64
-	}{{0, 1}, {1, 1}, {50, 50}, {99, 99}, {100, 100}}
-	for _, c := range cases {
-		if got := h.Percentile(c.p); got != c.want {
-			t.Errorf("P%v = %d, want %d", c.p, got, c.want)
-		}
-	}
-	// Observing after a percentile query must still work (re-sort).
-	h.Observe(1000)
-	if got := h.Percentile(100); got != 1000 {
-		t.Fatalf("P100 after new observation = %d, want 1000", got)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Stddev() != 0 || h.CV() != 0 || h.Percentile(50) != 0 {
+	if h.Mean() != 0 || h.Max() != 0 || h.Stddev() != 0 || h.CV() != 0 {
 		t.Fatal("empty histogram should return zeros everywhere")
 	}
 }
